@@ -1,8 +1,9 @@
 // Host-side microbenchmarks (google-benchmark) of the simulator substrates
 // themselves: page-table walks, frame pool churn, the far-heap allocator,
-// and the szip codec. These measure the reproduction's own performance, not
-// simulated time — useful for keeping the simulator fast enough to run the
-// paper-scale sweeps.
+// the demand-fault path at several resident-set sizes, and the szip codec.
+// These measure the reproduction's own performance, not simulated time —
+// useful for keeping the simulator fast enough to run the paper-scale
+// sweeps.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -74,6 +75,36 @@ void BM_DilosPinLocal(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DilosPinLocal);
+
+// Host time per demand fault against a resident set of state.range(0)
+// frames. A read-only cyclic sweep one quarter larger than the frame pool
+// faults on every touch (the clock degrades to FIFO), and every page is
+// clean, so background work that scans the resident set instead of the
+// dirty pages shows up as a per-fault cost growing with the argument.
+void BM_DilosFaultResident(benchmark::State& state) {
+  const uint64_t frames = static_cast<uint64_t>(state.range(0));
+  const uint64_t pages = frames + frames / 4;
+  Fabric fabric;
+  DilosConfig cfg;
+  cfg.local_mem_bytes = frames * kPageSize;
+  DilosRuntime rt(fabric, cfg, std::make_unique<NullPrefetcher>());
+  uint64_t region = rt.AllocRegion(pages * kPageSize);
+  for (uint64_t p = 0; p < pages; ++p) {
+    rt.Write<uint8_t>(region + p * kPageSize, 1);
+  }
+  for (uint64_t p = 0; p < pages; ++p) {  // Refetches every page clean.
+    rt.Read<uint8_t>(region + p * kPageSize);
+  }
+  uint64_t faults0 = rt.stats().major_faults;
+  uint64_t p = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rt.Read<uint8_t>(region + p * kPageSize));
+    p = p + 1 == pages ? 0 : p + 1;
+  }
+  state.counters["faults_per_iter"] = benchmark::Counter(
+      static_cast<double>(rt.stats().major_faults - faults0), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_DilosFaultResident)->Arg(512)->Arg(4096)->Arg(32768);
 
 void BM_SzipCompress64K(benchmark::State& state) {
   std::vector<uint8_t> src(65536);

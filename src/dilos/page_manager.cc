@@ -23,28 +23,49 @@ PageManager::PageManager(FramePool& pool, PageTable& pt, ShardRouter& router,
   }
 }
 
-void PageManager::OnMapped(uint64_t page_va) {
-  auto it = where_.find(page_va);
-  if (it != where_.end()) {
-    lru_.erase(it->second);
-    where_.erase(it);
-  } else if (tenants_ != nullptr) {
+void PageManager::OnMapped(uint64_t page_va, Pte pte) {
+  if (!Unlink(page_va) && tenants_ != nullptr) {
     tenants_->OnResident(page_va, +1);  // Fresh residency, not an LRU refresh.
   }
-  lru_.push_back(page_va);
-  where_[page_va] = std::prev(lru_.end());
+  PushBack(page_va, (pte & kPteDirty) != 0);
 }
 
 void PageManager::OnUnmapped(uint64_t page_va) {
+  if (Unlink(page_va) && tenants_ != nullptr) {
+    tenants_->OnResident(page_va, -1);
+  }
+  auto vec = vector_cleaned_.find(page_va);
+  if (vec != vector_cleaned_.end()) {
+    ReleaseAction(vec->second);
+    vector_cleaned_.erase(vec);
+  }
+}
+
+void PageManager::NoteDirty(uint64_t page_va) {
   auto it = where_.find(page_va);
   if (it != where_.end()) {
-    lru_.erase(it->second);
-    where_.erase(it);
-    if (tenants_ != nullptr) {
-      tenants_->OnResident(page_va, -1);
-    }
+    dirty_.try_emplace(it->second.seq, DirtyRef{page_va, pt_.Entry(page_va, /*create=*/false)});
   }
-  vector_cleaned_.erase(page_va);
+}
+
+void PageManager::PushBack(uint64_t page_va, bool dirty) {
+  uint64_t seq = ++lru_seq_;
+  lru_.push_back(page_va);
+  where_[page_va] = LruSlot{std::prev(lru_.end()), seq};
+  if (dirty) {
+    dirty_.emplace(seq, DirtyRef{page_va, pt_.Entry(page_va, /*create=*/false)});
+  }
+}
+
+bool PageManager::Unlink(uint64_t page_va) {
+  auto it = where_.find(page_va);
+  if (it == where_.end()) {
+    return false;
+  }
+  lru_.erase(it->second.it);
+  dirty_.erase(it->second.seq);
+  where_.erase(it);
+  return true;
 }
 
 uint64_t PageManager::AllocActionSlot(std::vector<PageSegment> segs) {
@@ -254,6 +275,7 @@ bool PageManager::ReclaimTenantRemote(int tenant, uint64_t skip_va, uint64_t now
       router_.fabric().node(node).store().Drop(va >> kPageShift);
     }
     *e |= kPteDirty;
+    NoteDirty(va);
     tenants_->Uncharge(va);
     tenants_->NoteReclaim(tenant);
     stats_.tenant_quota_reclaims++;
@@ -547,8 +569,7 @@ bool PageManager::EvictOne(uint64_t now, uint64_t pinned_va) {
   while (!lru_.empty() && scanned < limit) {
     ++scanned;
     uint64_t page_va = lru_.front();
-    lru_.pop_front();
-    where_.erase(page_va);
+    Unlink(page_va);
     Pte* e = pt_.Entry(page_va, /*create=*/false);
     if (e == nullptr || PteTagOf(*e) != PteTag::kLocal) {
       // Page vanished (unmapped); drop the stale entry. It left residency
@@ -559,15 +580,13 @@ bool PageManager::EvictOne(uint64_t now, uint64_t pinned_va) {
       continue;
     }
     if (page_va == pinned_va) {
-      lru_.push_back(page_va);
-      where_[page_va] = std::prev(lru_.end());
+      PushBack(page_va, (*e & kPteDirty) != 0);
       continue;
     }
     if (*e & kPteAccessed) {
       // Second chance: clear the accessed bit and rotate to the back.
       *e &= ~kPteAccessed;
-      lru_.push_back(page_va);
-      where_[page_va] = std::prev(lru_.end());
+      PushBack(page_va, (*e & kPteDirty) != 0);
       continue;
     }
     // Victim found. Offer it to the compressed tier first — a tier-resident
@@ -587,8 +606,7 @@ bool PageManager::EvictOne(uint64_t now, uint64_t pinned_va) {
     if (*e & kPteDirty) {
       Clean(page_va, e, now);
       if (*e & kPteDirty) {
-        lru_.push_back(page_va);
-        where_[page_va] = std::prev(lru_.end());
+        PushBack(page_va, /*dirty=*/true);
         continue;
       }
     }
@@ -728,16 +746,24 @@ void PageManager::TierTick(uint64_t now) {
 }
 
 void PageManager::BackgroundTick(uint64_t now, uint64_t pinned_va) {
-  // Cleaner: sweep a batch of the oldest pages, writing back dirty ones so
-  // the reclaimer always finds clean victims.
+  // Cleaner: write back a batch of the oldest dirty, unaccessed pages so
+  // the reclaimer always finds clean victims. The dirty index is in LRU
+  // order, so this picks the same pages as a front-to-back LRU scan.
   size_t cleaned = 0;
-  for (auto it = lru_.begin(); it != lru_.end() && cleaned < cfg_.clean_batch; ++it) {
-    Pte* e = pt_.Entry(*it, /*create=*/false);
-    if (e != nullptr && PteTagOf(*e) == PteTag::kLocal && (*e & kPteDirty) &&
-        (*e & kPteAccessed) == 0) {
-      Clean(*it, e, now);
-      ++cleaned;
+  for (auto it = dirty_.begin(); it != dirty_.end() && cleaned < cfg_.clean_batch;) {
+    auto [page_va, e] = it->second;
+    if (e == nullptr || PteTagOf(*e) != PteTag::kLocal || (*e & kPteDirty) == 0) {
+      it = dirty_.erase(it);  // Cleaned or unmapped since it was indexed.
+      continue;
     }
+    if (*e & kPteAccessed) {
+      ++it;
+      continue;
+    }
+    Clean(page_va, e, now);
+    ++cleaned;
+    // A failed write-back keeps the dirty bit, and the page its place.
+    it = (*e & kPteDirty) != 0 ? std::next(it) : dirty_.erase(it);
   }
   // Reclaimer: eagerly evict until the free target is met.
   size_t target = cfg_.free_target;

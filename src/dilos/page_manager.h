@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <list>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -68,10 +69,15 @@ class PageManager {
   // Null disables tenancy (default).
   void set_tenants(TenantRegistry* t) { tenants_ = t; }
 
-  // Registers a page that just became resident (most recently used).
-  void OnMapped(uint64_t page_va);
+  // Registers a page that just became resident (most recently used). `pte`
+  // is the local entry just installed; a dirty one joins the cleaner's index.
+  void OnMapped(uint64_t page_va, Pte pte);
   // Drops tracking for a page unmapped outside reclamation.
   void OnUnmapped(uint64_t page_va);
+  // Reports a clean->dirty transition of a resident page's local PTE. Every
+  // site that sets kPteDirty on a local PTE must call this (or OnMapped with
+  // the dirty entry): the cleaner only visits pages in its dirty index.
+  void NoteDirty(uint64_t page_va);
 
   // Background cleaner + reclaimer work at simulated time `now`. CPU time is
   // not charged to any application core (it runs on spare cores); write-back
@@ -91,6 +97,7 @@ class PageManager {
 
   size_t resident_count() const { return lru_.size(); }
   uint64_t direct_reclaims() const { return direct_reclaims_; }
+  size_t action_slots_in_use() const { return action_log_.size() - action_free_.size(); }
 
  private:
   // Writes the page back if dirty (full page, or vectorized live segments if
@@ -103,6 +110,12 @@ class PageManager {
   // and the tier's deferred write-back drain. True if at least one replica
   // accepted the write — the durability bar for dropping local copies.
   bool WriteBackFull(uint64_t page_va, const uint8_t* data, uint64_t now);
+
+  // Appends `page_va` to the LRU back under a fresh sequence number; a
+  // `dirty` page joins the cleaner's index at that position.
+  void PushBack(uint64_t page_va, bool dirty);
+  // Removes `page_va` from the LRU and the dirty index; false if untracked.
+  bool Unlink(uint64_t page_va);
 
   // One clock-algorithm step; returns true if a page was evicted.
   bool EvictOne(uint64_t now, uint64_t pinned_va = UINT64_MAX);
@@ -169,9 +182,27 @@ class PageManager {
   TenantRegistry* tenants_ = nullptr;  // Quota + residency accounting; may be null.
   std::vector<int> reclaim_nodes_;     // Scratch for quota-reclaim replica drops.
 
-  // LRU order: front = oldest. The clock hand sweeps from the front.
+  // LRU order: front = oldest. The clock hand sweeps from the front. Every
+  // push to the back stamps the page with the next `lru_seq_`, so ascending
+  // sequence number is LRU order.
+  struct LruSlot {
+    std::list<uint64_t>::iterator it;
+    uint64_t seq = 0;
+  };
   std::list<uint64_t> lru_;
-  std::unordered_map<uint64_t, std::list<uint64_t>::iterator> where_;
+  std::unordered_map<uint64_t, LruSlot> where_;
+  uint64_t lru_seq_ = 0;
+  // Cleaner index: sequence -> page for every resident page whose PTE was
+  // local and dirty when it was pushed or noted. Walking it in key order
+  // visits dirty pages in LRU order without touching clean ones; entries
+  // whose PTE has since gone clean or non-local are dropped by the cleaner.
+  // Each entry caches the page's PTE slot, which stays put for the page
+  // table's lifetime, so the walk reads PTEs without a radix lookup.
+  struct DirtyRef {
+    uint64_t va = 0;
+    Pte* pte = nullptr;
+  };
+  std::map<uint64_t, DirtyRef> dirty_;
 
   // Pages cleaned via a vectorized write: page_va -> action-log index whose
   // segments describe the valid bytes on the memory node.

@@ -819,6 +819,9 @@ uint8_t* DilosRuntime::Pin(uint64_t vaddr, uint32_t len, bool write, int core) {
   Pte* e = pt_.Entry(vaddr, /*create=*/true);
   if (PteTagOf(*e) == PteTag::kLocal) {
     // Fast path: the software stand-in for the MMU walk.
+    if (write && (*e & kPteDirty) == 0) {
+      pm_.NoteDirty(PageOf(vaddr));
+    }
     *e |= kPteAccessed | (write ? kPteDirty : 0);
     clk.Advance(cost_.local_pin_ns +
                 static_cast<uint64_t>(cost_.local_per_byte_ns * static_cast<double>(len)));
@@ -833,7 +836,7 @@ void DilosRuntime::MapInflight(uint64_t page_va, const Inflight& inf, bool as_wr
     pte |= kPteDirty;
   }
   *pt_.Entry(page_va, true) = pte;
-  pm_.OnMapped(page_va);
+  pm_.OnMapped(page_va, pte);
 }
 
 void DilosRuntime::DrainArrivals(uint64_t now) {
@@ -963,9 +966,9 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
       tracer_.Record(clk.now(), TraceEvent::kZeroFill, page_va);
       uint32_t frame = pm_.AllocFrame(clk, nullptr);
       std::memset(pool_.Data(frame), 0, kPageSize);
-      *pt_.Entry(page_va, true) =
-          MakeLocalPte(frame, true) | kPteAccessed | kPteDirty;  // Content exists only locally.
-      pm_.OnMapped(page_va);
+      Pte pte = MakeLocalPte(frame, true) | kPteAccessed | kPteDirty;  // Only copy is local.
+      *pt_.Entry(page_va, true) = pte;
+      pm_.OnMapped(page_va, pte);
       clk.Advance(cost_.zero_fill_ns);
       Background(clk.now(), page_va);
       break;
@@ -1066,9 +1069,9 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
       AttrAdd(core, FaultPhase::kOverlap,
               pre_fetch_ns > done ? pre_fetch_ns - done : 0);
       pm_.ReleaseAction(log_idx);
-      *pt_.Entry(page_va, true) =
-          MakeLocalPte(frame, true) | kPteAccessed | (write ? kPteDirty : 0);
-      pm_.OnMapped(page_va);
+      Pte pte = MakeLocalPte(frame, true) | kPteAccessed | (write ? kPteDirty : 0);
+      *pt_.Entry(page_va, true) = pte;
+      pm_.OnMapped(page_va, pte);
       clk.Advance(cost_.dilos_map_ns + cost_.map_tlb_flush_ns);
       bd.Add(LatComp::kMap, cost_.dilos_map_ns + cost_.map_tlb_flush_ns);
       AttrAdd(core, FaultPhase::kMap, cost_.dilos_map_ns + cost_.map_tlb_flush_ns);
@@ -1126,9 +1129,10 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
       tracer_.EndSpan(decompress_span, clk.now());
       // A page admitted dirty whose deferred write-back has not drained yet
       // comes back dirty: its content still exists nowhere but here.
-      *pt_.Entry(page_va, true) = MakeLocalPte(frame, true) | kPteAccessed |
-                                  ((write || was_dirty) ? kPteDirty : 0);
-      pm_.OnMapped(page_va);
+      Pte pte = MakeLocalPte(frame, true) | kPteAccessed |
+                ((write || was_dirty) ? kPteDirty : 0);
+      *pt_.Entry(page_va, true) = pte;
+      pm_.OnMapped(page_va, pte);
       clk.Advance(cost_.dilos_map_ns + cost_.map_tlb_flush_ns);
       bd.Add(LatComp::kMap, cost_.dilos_map_ns + cost_.map_tlb_flush_ns);
       AttrAdd(core, FaultPhase::kMap, cost_.dilos_map_ns + cost_.map_tlb_flush_ns);
@@ -1284,6 +1288,9 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
   }
 
   e = pt_.Entry(page_va, true);
+  if (write && (*e & kPteDirty) == 0) {
+    pm_.NoteDirty(page_va);
+  }
   *e |= kPteAccessed | (write ? kPteDirty : 0);
   return pool_.Data(static_cast<uint32_t>(PtePayload(*e))) + (vaddr & (kPageSize - 1));
 }

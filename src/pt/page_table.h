@@ -23,7 +23,8 @@ class PageTable {
   Pte Get(uint64_t vaddr) const;
 
   // Returns a pointer to the leaf PTE slot, materializing intermediate
-  // levels when `create` is true; nullptr if absent and !create.
+  // levels when `create` is true; nullptr if absent and !create. Tables are
+  // never freed, so a returned slot stays valid for the table's lifetime.
   Pte* Entry(uint64_t vaddr, bool create);
 
   void Set(uint64_t vaddr, Pte pte) { *Entry(vaddr, /*create=*/true) = pte; }

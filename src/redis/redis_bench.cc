@@ -1,6 +1,9 @@
 #include "src/redis/redis_bench.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 
 namespace dilos {
 
@@ -11,10 +14,20 @@ std::string RedisBench::KeyName(uint64_t i) {
 }
 
 std::string RedisBench::MakeValue(uint32_t size, uint64_t salt) {
+  // Byte i is 'A' + ((x >> (i % 48)) + i) % 26. While x + i cannot wrap, that
+  // depends only on (i % 48, i % 26), so the value repeats every
+  // lcm(48, 26) = 624 bytes: compute one period and copy it forward.
+  constexpr uint32_t kPeriod = 624;
   std::string v(size, '\0');
   uint64_t x = salt * 0x9E3779B97F4A7C15ULL + 1;
-  for (uint32_t i = 0; i < size; ++i) {
+  uint32_t direct = x > UINT64_MAX - size ? size : std::min(size, kPeriod);
+  for (uint32_t i = 0; i < direct; ++i) {
     v[i] = static_cast<char>('A' + ((x >> (i % 48)) + i) % 26);
+  }
+  for (uint32_t done = direct; done < size;) {
+    uint32_t n = std::min(done, size - done);  // `done` is a whole number of periods.
+    std::memcpy(v.data() + done, v.data(), n);
+    done += n;
   }
   return v;
 }

@@ -25,6 +25,10 @@ CompressedTier::Admit CompressedTier::AdmitPage(uint64_t page_va, const uint8_t*
   e.dirty = dirty;
   lru_.push_back(page_va);
   e.lru_it = std::prev(lru_.end());
+  if (dirty) {
+    dirty_.push_back(page_va);
+    e.dirty_it = std::prev(dirty_.end());
+  }
   entries_.emplace(page_va, e);
   if (csize != nullptr) {
     *csize = e.csize;
@@ -43,17 +47,13 @@ bool CompressedTier::Take(uint64_t page_va, uint8_t* out, bool* was_dirty) {
     // would only leak its pool blocks against the capacity budget and fail
     // every later Take()/Read() the same way. Drop it; the caller falls
     // back to the remote copy and accounts the loss.
-    pool_.Free(e.h, e.csize);
-    lru_.erase(e.lru_it);
-    entries_.erase(it);
+    Remove(it);
     return false;
   }
   if (was_dirty != nullptr) {
     *was_dirty = e.dirty;
   }
-  pool_.Free(e.h, e.csize);
-  lru_.erase(e.lru_it);
-  entries_.erase(it);
+  Remove(it);
   return true;
 }
 
@@ -68,18 +68,26 @@ bool CompressedTier::Read(uint64_t page_va, uint8_t* out) const {
 
 void CompressedTier::MarkClean(uint64_t page_va) {
   auto it = entries_.find(page_va);
-  if (it != entries_.end()) {
+  if (it != entries_.end() && it->second.dirty) {
+    dirty_.erase(it->second.dirty_it);
     it->second.dirty = false;
   }
 }
 
 void CompressedTier::Drop(uint64_t page_va) {
   auto it = entries_.find(page_va);
-  if (it == entries_.end()) {
-    return;
+  if (it != entries_.end()) {
+    Remove(it);
   }
-  pool_.Free(it->second.h, it->second.csize);
-  lru_.erase(it->second.lru_it);
+}
+
+void CompressedTier::Remove(std::unordered_map<uint64_t, Entry>::iterator it) {
+  Entry& e = it->second;
+  pool_.Free(e.h, e.csize);
+  lru_.erase(e.lru_it);
+  if (e.dirty) {
+    dirty_.erase(e.dirty_it);
+  }
   entries_.erase(it);
 }
 
@@ -95,13 +103,11 @@ bool CompressedTier::Oldest(uint64_t* page_va, bool* dirty) const {
 }
 
 void CompressedTier::CollectDirty(size_t max, std::vector<uint64_t>* out) const {
-  for (uint64_t va : lru_) {
+  for (uint64_t va : dirty_) {
     if (out->size() >= max) {
       return;
     }
-    if (entries_.at(va).dirty) {
-      out->push_back(va);
-    }
+    out->push_back(va);
   }
 }
 
@@ -110,9 +116,12 @@ void CompressedTier::Requeue(uint64_t page_va) {
   if (it == entries_.end()) {
     return;
   }
-  lru_.erase(it->second.lru_it);
-  lru_.push_back(page_va);
-  it->second.lru_it = std::prev(lru_.end());
+  // Splicing keeps both iterators valid; a dirty entry also moves to the
+  // back of the dirty list, preserving its order relative to lru_.
+  lru_.splice(lru_.end(), lru_, it->second.lru_it);
+  if (it->second.dirty) {
+    dirty_.splice(dirty_.end(), dirty_, it->second.dirty_it);
+  }
 }
 
 }  // namespace dilos

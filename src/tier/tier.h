@@ -97,7 +97,8 @@ class CompressedTier {
   // Oldest entry by admission order; false when empty.
   bool Oldest(uint64_t* page_va, bool* dirty) const;
 
-  // Appends up to `max` dirty page VAs, oldest first (cleaner batch).
+  // Appends up to `max` dirty page VAs, oldest first (cleaner batch). Walks
+  // only the dirty entries, never the clean ones.
   void CollectDirty(size_t max, std::vector<uint64_t>* out) const;
 
   bool OverCapacity() const { return pool_.block_bytes() > cfg_.capacity_bytes; }
@@ -116,11 +117,17 @@ class CompressedTier {
     uint32_t csize = 0;
     bool dirty = false;
     std::list<uint64_t>::iterator lru_it;
+    std::list<uint64_t>::iterator dirty_it;  // Valid only while `dirty`.
   };
+
+  // Unlinks the entry from both lists, frees its blob and erases it.
+  void Remove(std::unordered_map<uint64_t, Entry>::iterator it);
 
   TierConfig cfg_;
   CompPool pool_;
   std::list<uint64_t> lru_;  // Front = oldest admission.
+  // The dirty entries, in the same relative order as lru_.
+  std::list<uint64_t> dirty_;
   std::unordered_map<uint64_t, Entry> entries_;
   std::vector<uint8_t> scratch_;  // Compression output buffer.
 };

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/dilos/readahead.h"
 #include "src/dilos/runtime.h"
@@ -153,6 +155,36 @@ TEST_F(RedisPressureTest, LrangeWorkload) {
   RedisBenchResult res = bench.RunLrange(100);
   EXPECT_EQ(res.ops, 100u);
   EXPECT_GT(res.latency.MeanNs(), 0.0);
+}
+
+// The per-byte formula RedisBench::MakeValue must keep reproducing: bench
+// payloads, and so every simulated byte count, derive from it.
+std::string ReferenceValue(uint32_t size, uint64_t salt) {
+  std::string v(size, '\0');
+  uint64_t x = salt * 0x9E3779B97F4A7C15ULL + 1;
+  for (uint32_t i = 0; i < size; ++i) {
+    v[i] = static_cast<char>('A' + ((x >> (i % 48)) + i) % 26);
+  }
+  return v;
+}
+
+TEST(RedisBenchValue, MatchesThePerByteFormula) {
+  // Salts whose x = salt * K + 1 lands just below 2^64 make x + i wrap
+  // inside the value, where the 624-byte period no longer holds.
+  uint64_t inv = 0x9E3779B97F4A7C15ULL;  // Newton's iteration for K^-1 mod 2^64.
+  for (int i = 0; i < 6; ++i) {
+    inv *= 2 - 0x9E3779B97F4A7C15ULL * inv;
+  }
+  std::vector<uint64_t> salts = {0, 1, 2, 7, 123456789, UINT64_MAX};
+  for (uint64_t back : {1ULL, 100ULL, 700ULL, 5000ULL}) {
+    salts.push_back((UINT64_MAX - back - 1) * inv);  // x == UINT64_MAX - back.
+  }
+  for (uint64_t salt : salts) {
+    for (uint32_t size : {0u, 1u, 47u, 48u, 623u, 624u, 625u, 1248u, 4096u, 5000u, 131072u}) {
+      ASSERT_EQ(RedisBench::MakeValue(size, salt), ReferenceValue(size, salt))
+          << "size " << size << " salt " << salt;
+    }
+  }
 }
 
 }  // namespace

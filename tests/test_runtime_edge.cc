@@ -101,6 +101,32 @@ TEST(RuntimeEdge, GuidedPagingWithReplicationStaysConsistent) {
   }
 }
 
+TEST(RuntimeEdge, FreeRegionReleasesVectorCleanedActionSlots) {
+  // A resident page the cleaner wrote back with a vectored (live-segment)
+  // write owns an action-log slot until it is evicted; freeing the page
+  // instead must hand that slot back, or every free leaks one.
+  Fabric fabric;
+  DilosConfig cfg;
+  cfg.local_mem_bytes = 64 * kPageSize;
+  DilosRuntime rt(fabric, cfg, std::make_unique<NullPrefetcher>());
+  FarHeap heap(rt);
+  AllocatorGuide guide(heap);
+  rt.set_guide(&guide);
+  PageManager& pm = rt.page_manager();
+  for (int i = 0; i < 200; ++i) {
+    uint64_t a = heap.Malloc(128);  // One live chunk: a partial page.
+    rt.Write<uint64_t>(a, static_cast<uint64_t>(i));
+    uint64_t page = a & ~static_cast<uint64_t>(kPageSize - 1);
+    *rt.page_table().Entry(page, /*create=*/false) &= ~kPteAccessed;  // Cold.
+    uint64_t vectored0 = rt.stats().vectored_ops;
+    pm.BackgroundTick(rt.clock(0).now());
+    ASSERT_GT(rt.stats().vectored_ops, vectored0) << "round " << i << ": no vectored clean";
+    rt.FreeRegion(page, kPageSize);
+    heap.Free(a);
+    ASSERT_LE(pm.action_slots_in_use(), 1u) << "round " << i;
+  }
+}
+
 TEST(RuntimeEdge, SingleByteAndFullPagePins) {
   Fabric fabric;
   DilosConfig cfg;

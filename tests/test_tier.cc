@@ -328,6 +328,96 @@ TEST(TierPolicy, CorruptBlobIsDroppedOnTakeNotLeaked) {
   EXPECT_EQ(std::memcmp(out, page.data(), kPageSize), 0);
 }
 
+TEST(TierPolicy, CollectDirtyMatchesAReferenceFilterOverAdmissionOrder) {
+  // A random interleaving of every operation that changes an entry's place
+  // or dirty flag. The reference keeps (va, dirty) in eviction order —
+  // admissions and requeues append, everything else removes or flips — and
+  // CollectDirty must return its dirty entries, oldest first, after each op.
+  CompressedTier tier(TierConfig{});
+  auto page = CompressiblePage(5);
+  std::vector<std::pair<uint64_t, bool>> ref;
+  auto find = [&](uint64_t va) {
+    return std::find_if(ref.begin(), ref.end(), [va](const auto& p) { return p.first == va; });
+  };
+  uint64_t s = 29;
+  uint8_t out[kPageSize];
+  uint32_t csize = 0;
+  int corrupt_takes = 0;
+  for (int op = 0; op < 4000; ++op) {
+    uint64_t va = 0x10000 + (Rng(&s) % 48) * kPageSize;
+    auto it = find(va);
+    switch (Rng(&s) % 6) {
+      case 0: {  // Admit, dirty or clean (re-admission replaces and re-queues).
+        bool dirty = Rng(&s) % 2 == 0;
+        ASSERT_EQ(tier.AdmitPage(va, page.data(), dirty, &csize),
+                  CompressedTier::Admit::kStored);
+        if (it != ref.end()) {
+          ref.erase(it);
+        }
+        ref.emplace_back(va, dirty);
+        break;
+      }
+      case 1:
+        tier.Requeue(va);
+        if (it != ref.end()) {
+          auto entry = *it;
+          ref.erase(it);
+          ref.push_back(entry);
+        }
+        break;
+      case 2:
+        tier.MarkClean(va);
+        if (it != ref.end()) {
+          it->second = false;
+        }
+        break;
+      case 3: {
+        bool dirty = false;
+        EXPECT_EQ(tier.Take(va, out, &dirty), it != ref.end());
+        if (it != ref.end()) {
+          EXPECT_EQ(dirty, it->second);
+          ref.erase(it);
+        }
+        break;
+      }
+      case 4:
+        tier.Drop(va);
+        if (it != ref.end()) {
+          ref.erase(it);
+        }
+        break;
+      case 5: {  // In-DRAM rot, then a Take that must drop the entry.
+        uint32_t n = 0;
+        const uint8_t* blob = tier.BlobData(va, &n);
+        if (blob == nullptr) {
+          break;
+        }
+        std::memset(const_cast<uint8_t*>(blob), 0x80, n);
+        bool dirty = false;
+        EXPECT_FALSE(tier.Take(va, out, &dirty));
+        ref.erase(it);
+        ++corrupt_takes;
+        break;
+      }
+    }
+    std::vector<uint64_t> want;
+    for (const auto& [ref_va, dirty] : ref) {
+      if (dirty) {
+        want.push_back(ref_va);
+      }
+    }
+    std::vector<uint64_t> got;
+    tier.CollectDirty(SIZE_MAX, &got);
+    ASSERT_EQ(got, want) << "op " << op;
+    got.clear();
+    tier.CollectDirty(3, &got);
+    want.resize(std::min<size_t>(want.size(), 3));
+    ASSERT_EQ(got, want) << "op " << op << " (batch of 3)";
+    ASSERT_EQ(tier.stored_pages(), ref.size());
+  }
+  EXPECT_GT(corrupt_takes, 0);
+}
+
 TEST(TierPolicy, CapacityBudgetTracksBlockBytes) {
   TierConfig cfg;
   cfg.capacity_bytes = 2 * kTierClassStep;
