@@ -1,6 +1,7 @@
 // Host-side microbenchmarks (google-benchmark) of the simulator substrates
 // themselves: page-table walks, frame pool churn, the far-heap allocator,
-// the demand-fault path at several resident-set sizes, and the szip codec.
+// the demand-fault path at several resident-set sizes, page-integrity
+// hashing and arrival verification, and the szip codec.
 // These measure the reproduction's own performance, not simulated time —
 // useful for keeping the simulator fast enough to run the paper-scale
 // sweeps.
@@ -15,6 +16,7 @@
 #include "src/dilos/runtime.h"
 #include "src/pt/frame_pool.h"
 #include "src/pt/page_table.h"
+#include "src/recovery/integrity.h"
 
 namespace dilos {
 namespace {
@@ -105,6 +107,49 @@ void BM_DilosFaultResident(benchmark::State& state) {
       static_cast<double>(rt.stats().major_faults - faults0), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_DilosFaultResident)->Arg(512)->Arg(4096)->Arg(32768);
+
+// Page-integrity cost per 4 KB page: the checksum every full-page arrival
+// and write-back pays on the host.
+std::vector<uint8_t> NoisePage() {
+  std::vector<uint8_t> page(kPageSize);
+  uint64_t x = 0x9E3779B97F4A7C15ULL;
+  for (uint8_t& b : page) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<uint8_t>(x);
+  }
+  return page;
+}
+
+void BM_PageChecksum(benchmark::State& state) {
+  std::vector<uint8_t> page = NoisePage();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(page.data());
+    benchmark::DoNotOptimize(PageChecksum(page.data()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kPageSize);
+}
+BENCHMARK(BM_PageChecksum);
+
+// Arrival verification against a store holding checksums for 4096 pages:
+// arrivals of those pages (Arg 1: lookup + hash) or of 4096 pages that
+// carry none (Arg 0: lookup only, the never-written-back case).
+void BM_VerifyPageBytes(benchmark::State& state) {
+  std::vector<uint8_t> page = NoisePage();
+  PageStore store;
+  for (uint64_t i = 0; i < 4096; ++i) {
+    store.SetChecksum((kFarBase >> kPageShift) + i, PageChecksum(page.data()));
+  }
+  const uint64_t base = kFarBase + (state.range(0) != 0 ? 0 : 4096 * kPageSize);
+  uint64_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(page.data());
+    benchmark::DoNotOptimize(VerifyPageBytes(store, base + i * kPageSize, page.data()));
+    i = (i + 1) & 4095;
+  }
+}
+BENCHMARK(BM_VerifyPageBytes)->ArgName("with_sum")->Arg(1)->Arg(0);
 
 void BM_SzipCompress64K(benchmark::State& state) {
   std::vector<uint8_t> src(65536);

@@ -213,6 +213,7 @@ bool PageManager::WriteBackFull(uint64_t page_va, const uint8_t* data, uint64_t 
 
   // Fan the write-back out to every live replica of the page.
   router_.WriteQps(/*core=*/0, CommChannel::kManager, page_va, &write_qps_, &write_nodes_);
+  uint64_t sum = PageChecksum(data);
   int ok = 0;
   for (size_t i = 0; i < write_qps_.size(); ++i) {
     // Checked write: installs the page checksum and verifies the stored
@@ -220,7 +221,7 @@ bool PageManager::WriteBackFull(uint64_t page_va, const uint8_t* data, uint64_t 
     // durable silently on any replica.
     Completion c = WritePageChecked(write_qps_[i],
                                     router_.fabric().node(write_nodes_[i]).store(), page_va,
-                                    data, now, &wr_id_, stats_, tracer_, gen);
+                                    data, sum, now, &wr_id_, stats_, tracer_, gen);
     if (c.status != WcStatus::kSuccess) {
       router_.ReportOpFailure(write_nodes_[i], c.completion_time_ns);
       continue;
@@ -392,8 +393,8 @@ void PageManager::EcUpdateParity(uint64_t page_va, const uint8_t* old_page,
         continue;  // Too few readable members; the repair manager owns this.
       }
       router_.SetPageGeneration(parity_va, pgen);
-      Completion w = WritePageChecked(qp, pstore, parity_va, pbuf, cursor, &wr_id_, stats_,
-                                      tracer_, pgen);
+      Completion w = WritePageChecked(qp, pstore, parity_va, pbuf, PageChecksum(pbuf), cursor,
+                                      &wr_id_, stats_, tracer_, pgen);
       if (w.status != WcStatus::kSuccess) {
         router_.ReportOpFailure(node, w.completion_time_ns);
         continue;
@@ -408,8 +409,8 @@ void PageManager::EcUpdateParity(uint64_t page_va, const uint8_t* old_page,
     }
     ECCodec::XorMulInto(pbuf, delta, codec.Coef(pmember, member), kPageSize);
     router_.SetPageGeneration(parity_va, pgen);
-    Completion w = WritePageChecked(qp, pstore, parity_va, pbuf, r.completion_time_ns,
-                                    &wr_id_, stats_, tracer_, pgen);
+    Completion w = WritePageChecked(qp, pstore, parity_va, pbuf, PageChecksum(pbuf),
+                                    r.completion_time_ns, &wr_id_, stats_, tracer_, pgen);
     if (w.status != WcStatus::kSuccess) {
       router_.ReportOpFailure(node, w.completion_time_ns);
       continue;
@@ -457,7 +458,8 @@ void PageManager::ScrubPage(uint64_t page_va, uint64_t now) {
       continue;  // Dead or mid-rebuild: the repair manager owns that copy.
     }
     PageStore& store = router_.fabric().node(node).store();
-    if (!store.HasChecksum(page_va >> kPageShift)) {
+    const uint64_t* sum = store.FindChecksum(page_va >> kPageShift);
+    if (sum == nullptr) {
       continue;  // Never fully written back; nothing to verify against.
     }
     stats_.scrub_pages++;
@@ -469,7 +471,7 @@ void PageManager::ScrubPage(uint64_t page_va, uint64_t now) {
       router_.ReportOpFailure(node, c.completion_time_ns);
       continue;
     }
-    if (VerifyPageBytes(store, page_va, scrub_buf_)) {
+    if (VerifyPageBytes(sum, scrub_buf_)) {
       if (PageIsStale(store, page_va, router_.PageGeneration(page_va))) {
         // Content-valid but generation-lagged: this copy missed a write-back
         // round behind a partition or a dropped write. Heal it from a fresh
@@ -487,8 +489,7 @@ void PageManager::ScrubPage(uint64_t page_va, uint64_t now) {
     // Node-local re-hash of the *stored* bytes separates a bit flipped on
     // the scrub read itself (stored copy fine — nothing to repair) from
     // genuine at-rest rot.
-    if (PageChecksum(store.PageData(page_va >> kPageShift)) ==
-        store.Checksum(page_va >> kPageShift)) {
+    if (PageChecksum(store.PageData(page_va >> kPageShift)) == *sum) {
       continue;
     }
     ScrubRepair(page_va, node, c.completion_time_ns);
@@ -498,6 +499,7 @@ void PageManager::ScrubPage(uint64_t page_va, uint64_t now) {
 void PageManager::ScrubRepair(uint64_t page_va, int node, uint64_t now) {
   uint64_t granule = ShardRouter::GranuleOf(page_va);
   uint8_t good[kPageSize];
+  uint64_t sum = 0;  // PageChecksum(good) once have_good.
   bool have_good = false;
   uint64_t cursor = now;
   // The generation installed with the repair write: a reconstruction yields
@@ -514,6 +516,7 @@ void PageManager::ScrubRepair(uint64_t page_va, int node, uint64_t now) {
     have_good = EcReconstructPage(router_, *cost_, /*core=*/0, CommChannel::kManager, stripe,
                                   member, page_idx, good, &cursor, &wr_id_, stats_, tracer_);
     if (have_good) {
+      sum = PageChecksum(good);
       gen = router_.PageGeneration(page_va);
     }
   } else {
@@ -526,8 +529,8 @@ void PageManager::ScrubRepair(uint64_t page_va, int node, uint64_t now) {
         continue;
       }
       const PageStore& sstore = router_.fabric().node(src).store();
-      if (!sstore.HasChecksum(page_va >> kPageShift) ||
-          PageIsStale(sstore, page_va, router_.PageGeneration(page_va))) {
+      const uint64_t* want = sstore.FindChecksum(page_va >> kPageShift);
+      if (want == nullptr || PageIsStale(sstore, page_va, router_.PageGeneration(page_va))) {
         continue;
       }
       Completion c = router_.NodeQp(/*core=*/0, CommChannel::kManager, src)
@@ -538,7 +541,8 @@ void PageManager::ScrubRepair(uint64_t page_va, int node, uint64_t now) {
         continue;
       }
       cursor = c.completion_time_ns;
-      if (VerifyPageBytes(sstore, page_va, good)) {
+      sum = PageChecksum(good);
+      if (sum == *want) {
         have_good = true;
         gen = sstore.Generation(page_va >> kPageShift);
         break;
@@ -552,8 +556,8 @@ void PageManager::ScrubRepair(uint64_t page_va, int node, uint64_t now) {
   }
   Completion w =
       WritePageChecked(router_.NodeQp(/*core=*/0, CommChannel::kManager, node),
-                       router_.fabric().node(node).store(), page_va, good, cursor, &wr_id_,
-                       stats_, tracer_, gen);
+                       router_.fabric().node(node).store(), page_va, good, sum, cursor,
+                       &wr_id_, stats_, tracer_, gen);
   if (w.status != WcStatus::kSuccess) {
     router_.ReportOpFailure(node, w.completion_time_ns);
     return;

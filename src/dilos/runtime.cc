@@ -354,9 +354,11 @@ Completion DilosRuntime::DemandFetch(uint64_t page_va, uint64_t frame_addr,
       AttrAdd(core, FaultPhase::kWire, total - lane);
     }
     if (c.status == WcStatus::kSuccess) {
+      const uint64_t* sum =
+          segs == nullptr ? fabric_.node(t.node).store().FindChecksum(page_va >> kPageShift)
+                          : nullptr;
       if (segs == nullptr &&
-          !VerifyPageBytes(fabric_.node(t.node).store(), page_va,
-                           reinterpret_cast<const uint8_t*>(frame_addr))) {
+          !VerifyPageBytes(sum, reinterpret_cast<const uint8_t*>(frame_addr))) {
         // Corrupt arrival. First mismatch from a node: assume a wire flip
         // and re-read (possibly the same replica). A second mismatch from
         // the same node means its *stored* copy rotted: exclude it, fetch
@@ -372,8 +374,7 @@ Completion DilosRuntime::DemandFetch(uint64_t page_va, uint64_t frame_addr,
         last_mismatch = t.node;
         continue;
       }
-      if (segs == nullptr && exclude < 0 &&
-          !fabric_.node(t.node).store().HasChecksum(page_va >> kPageShift) &&
+      if (segs == nullptr && exclude < 0 && sum == nullptr &&
           ReplicaHasChecksumElsewhere(page_va, t.node)) {
         // Unverifiable arrival from a replica that should have been cleaned:
         // some other replica holds a checksum for this page, so a full
@@ -493,8 +494,8 @@ void DilosRuntime::HealCorruptReplica(uint64_t page_va, int node, const uint8_t*
   uint32_t heal_span = tracer_.BeginSpan(SpanKind::kHeal, issue_ns, page_va,
                                          static_cast<uint32_t>(node));
   Completion c = WritePageChecked(router_.NodeQp(/*core=*/0, CommChannel::kManager, node),
-                                  store, page_va, good, issue_ns, &wr_id_, stats_, &tracer_,
-                                  router_.PageGeneration(page_va));
+                                  store, page_va, good, PageChecksum(good), issue_ns, &wr_id_,
+                                  stats_, &tracer_, router_.PageGeneration(page_va));
   tracer_.EndSpan(heal_span, c.completion_time_ns);
   // kHeal is off-path by construction: the heal write is posted at the
   // demand fetch's completion time without advancing the fault cursor, so
@@ -887,7 +888,8 @@ bool DilosRuntime::StartPrefetch(uint64_t page_va, uint64_t issue_ns, int core,
     pool_.Free(*fid);
     return false;
   }
-  if (!VerifyPageBytes(fabric_.node(target.node).store(), page_va, pool_.Data(*fid))) {
+  const uint64_t* sum = fabric_.node(target.node).store().FindChecksum(page_va >> kPageShift);
+  if (!VerifyPageBytes(sum, pool_.Data(*fid))) {
     // A corrupt speculative fill is simply dropped: the page stays remote
     // and the demand path (which owns the refetch/heal machinery) serves it.
     stats_.checksum_mismatches++;
@@ -896,8 +898,7 @@ bool DilosRuntime::StartPrefetch(uint64_t page_va, uint64_t issue_ns, int core,
     pool_.Free(*fid);
     return false;
   }
-  if (!fabric_.node(target.node).store().HasChecksum(page_va >> kPageShift) &&
-      ReplicaHasChecksumElsewhere(page_va, target.node)) {
+  if (sum == nullptr && ReplicaHasChecksumElsewhere(page_va, target.node)) {
     // Unverifiable speculative fill from a copy that missed its write-back
     // (another replica has the checksum): drop it, same as a mismatch.
     stats_.refetches++;

@@ -77,8 +77,14 @@ class PageStore : public AddressResolver {
   void DropChecksum(uint64_t page) { sums_.erase(page); }
   bool HasChecksum(uint64_t page) const { return sums_.count(page) != 0; }
   uint64_t Checksum(uint64_t page) const {
+    const uint64_t* sum = FindChecksum(page);
+    return sum == nullptr ? 0 : *sum;
+  }
+  // The installed checksum of `page`, or nullptr when it carries none: one
+  // lookup answers both "is there a checksum" and "what is it".
+  const uint64_t* FindChecksum(uint64_t page) const {
     auto it = sums_.find(page);
-    return it == sums_.end() ? 0 : it->second;
+    return it == sums_.end() ? nullptr : &it->second;
   }
   const std::unordered_map<uint64_t, uint64_t>& checksums() const { return sums_; }
 

@@ -20,6 +20,16 @@
 //    install one; a vectored (guided) write-back drops it, because the bytes
 //    between live segments are indeterminate by design. That gap is
 //    documented in DESIGN.md §9 — guided paging trades it for bandwidth.
+//
+// The checksum runs in kChecksumLanes independent lanes: word i (8 bytes)
+// feeds lane i % kChecksumLanes through the step h ^= w; h *= P; h ^= h >> 29,
+// and the lanes are folded in fixed order with the same step at the end. The
+// step is a bijection in h (xor, odd multiply, xorshift) and in w, so a
+// change to any single 8-byte word changes its lane and hence the sum, and
+// the lanes have no data dependence on each other, so they run at the
+// multiplier's throughput instead of its latency. A write-back round hashes
+// its page once (callers pass the sum to WritePageChecked), plus once per
+// landed copy.
 #ifndef DILOS_SRC_RECOVERY_INTEGRITY_H_
 #define DILOS_SRC_RECOVERY_INTEGRITY_H_
 
@@ -33,29 +43,51 @@
 
 namespace dilos {
 
-// 64-bit FNV-1a-style mix over the page, hashed a word at a time — the
-// stand-in for the CRC an RNIC computes at line rate.
+// Independent hash chains in PageChecksum; kPageSize / 8 is a multiple.
+inline constexpr uint32_t kChecksumLanes = 8;
+
+// One FNV-1a-style step; a bijection in both `h` and `w`.
+inline uint64_t ChecksumStep(uint64_t h, uint64_t w) {
+  h ^= w;
+  h *= 0x100000001B3ULL;
+  return h ^ (h >> 29);
+}
+
+// 64-bit checksum of a full page, hashed a word at a time over
+// kChecksumLanes lanes — the stand-in for the CRC an RNIC computes at line
+// rate.
 inline uint64_t PageChecksum(const uint8_t* data) {
+  uint64_t lane[kChecksumLanes];
+  for (uint32_t l = 0; l < kChecksumLanes; ++l) {
+    lane[l] = 0xCBF29CE484222325ULL + l;
+  }
+  for (uint32_t i = 0; i < kPageSize; i += 8 * kChecksumLanes) {
+    // Unrolled so the lanes stay in registers at -O2 as well as -O3.
+#pragma GCC unroll 8
+    for (uint32_t l = 0; l < kChecksumLanes; ++l) {
+      uint64_t w;
+      std::memcpy(&w, data + i + 8 * l, 8);
+      lane[l] = ChecksumStep(lane[l], w);
+    }
+  }
   uint64_t h = 0xCBF29CE484222325ULL;
-  for (uint32_t i = 0; i < kPageSize; i += 8) {
-    uint64_t w;
-    std::memcpy(&w, data + i, 8);
-    h ^= w;
-    h *= 0x100000001B3ULL;
-    h ^= h >> 29;
+  for (uint32_t l = 0; l < kChecksumLanes; ++l) {
+    h = ChecksumStep(h, lane[l]);
   }
   return h;
 }
 
-// Verifies `bytes` (a full page received for `page_va`) against the checksum
-// installed on `store`. True when no checksum exists — nothing to verify
+// Verifies a full page `bytes` against `sum`, the checksum installed for it
+// (PageStore::FindChecksum). True when there is none — nothing to verify
 // against (the page was never fully written back).
+inline bool VerifyPageBytes(const uint64_t* sum, const uint8_t* bytes) {
+  return sum == nullptr || *sum == PageChecksum(bytes);
+}
+
+// Verifies `bytes` (a full page received for `page_va`) against the checksum
+// installed on `store`.
 inline bool VerifyPageBytes(const PageStore& store, uint64_t page_va, const uint8_t* bytes) {
-  uint64_t page = page_va >> kPageShift;
-  if (!store.HasChecksum(page)) {
-    return true;
-  }
-  return store.Checksum(page) == PageChecksum(bytes);
+  return VerifyPageBytes(store.FindChecksum(page_va >> kPageShift), bytes);
 }
 
 // Freshness check beside the content check: true when the copy on `store`
@@ -71,7 +103,8 @@ inline bool PageIsStale(const PageStore& store, uint64_t page_va, uint32_t expec
 }
 
 // Full-page write with target-side integrity: posts the write at `issue_ns`,
-// installs the checksum (and, when `generation` is nonzero, the write
+// installs `sum` — PageChecksum(data), computed once by the caller for the
+// whole write-back round — (and, when `generation` is nonzero, the write
 // generation — freshness metadata travelling with the payload), and
 // verifies the bytes that actually landed — re-posting on mismatch (a wire
 // flip on the write path), up to `max_retries` times. Returns the final
@@ -82,11 +115,10 @@ inline bool PageIsStale(const PageStore& store, uint64_t page_va, uint32_t expec
 // checksum stays installed, so every later read detects the rot and heals
 // from redundancy — metadata is never made to agree with bad bytes.
 inline Completion WritePageChecked(QueuePair* qp, PageStore& store, uint64_t page_va,
-                                   const uint8_t* data, uint64_t issue_ns, uint64_t* wr_id,
-                                   RuntimeStats& stats, Tracer* tracer,
+                                   const uint8_t* data, uint64_t sum, uint64_t issue_ns,
+                                   uint64_t* wr_id, RuntimeStats& stats, Tracer* tracer,
                                    uint32_t generation = 0, int max_retries = 3) {
   uint64_t page = page_va >> kPageShift;
-  uint64_t sum = PageChecksum(data);
   Completion c{};
   for (int attempt = 0;; ++attempt) {
     c = qp->PostWrite(++*wr_id, reinterpret_cast<uint64_t>(data), page_va, kPageSize, issue_ns);

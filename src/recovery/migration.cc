@@ -383,8 +383,9 @@ uint64_t MigrationManager::DrainFront(uint64_t now_ns, uint64_t budget) {
           if (!nstore.Materialized(page_va >> kPageShift)) {
             continue;
           }
+          const uint64_t* want = nstore.FindChecksum(page_va >> kPageShift);
           int rank = 2;
-          if (nstore.HasChecksum(page_va >> kPageShift)) {
+          if (want != nullptr) {
             rank = PageIsStale(nstore, page_va, expected) ? 1 : 0;
           }
           if (rank != pass) {
@@ -400,7 +401,8 @@ uint64_t MigrationManager::DrainFront(uint64_t now_ns, uint64_t budget) {
               fcursor = rc.completion_time_ns;
               break;  // Next replica.
             }
-            if (VerifyPageBytes(nstore, page_va, f.buf.data())) {
+            f.sum = PageChecksum(f.buf.data());
+            if (want == nullptr || f.sum == *want) {
               have = true;
               f.ready_ns = rc.completion_time_ns;
               f.bytes = 2ULL * kPageSize;
@@ -435,6 +437,7 @@ uint64_t MigrationManager::DrainFront(uint64_t now_ns, uint64_t budget) {
             have = true;
             f.ready_ns = fcursor;
             f.bytes = static_cast<uint64_t>(router_.ec().k + 1) * kPageSize;
+            f.sum = PageChecksum(f.buf.data());
             f.gen = expected;
           }
         }
@@ -473,8 +476,8 @@ uint64_t MigrationManager::DrainFront(uint64_t now_ns, uint64_t budget) {
     for (Flight& f : flights_) {
       Completion wc = WritePageChecked(qps_[static_cast<size_t>(job.target)],
                                        fabric_.node(job.target).store(), f.page_va,
-                                       f.buf.data(), f.ready_ns, &wr_id_, stats_, tracer_,
-                                       f.gen);
+                                       f.buf.data(), f.sum, f.ready_ns, &wr_id_, stats_,
+                                       tracer_, f.gen);
       if (wc.completion_time_ns > window_done) {
         window_done = wc.completion_time_ns;
       }

@@ -153,6 +153,7 @@ class MigrationManager {
     uint64_t ready_ns = 0;
     uint64_t bytes = 0;
     uint32_t gen = 0;
+    uint64_t sum = 0;
     std::vector<uint8_t> buf;
   };
 

@@ -273,8 +273,8 @@ void RepairManager::OnNodeReadmitted(int node, uint64_t now_ns) {
         uint64_t page = page_va >> kPageShift;
         if (store.Materialized(page)) {
           any = true;
-          if (!store.HasChecksum(page) ||
-              !VerifyPageBytes(store, page_va, store.PageData(page)) ||
+          const uint64_t* sum = store.FindChecksum(page);
+          if (sum == nullptr || !VerifyPageBytes(sum, store.PageData(page)) ||
               PageIsStale(store, page_va, router_.PageGeneration(page_va))) {
             fresh = false;
           }
@@ -429,8 +429,9 @@ uint64_t RepairManager::DrainFront(uint64_t now_ns, uint64_t budget) {
           if (!nstore.Materialized(page_va >> kPageShift)) {
             continue;
           }
+          const uint64_t* want = nstore.FindChecksum(page_va >> kPageShift);
           int rank = 2;
-          if (nstore.HasChecksum(page_va >> kPageShift)) {
+          if (want != nullptr) {
             rank = PageIsStale(nstore, page_va, router_.PageGeneration(page_va)) ? 1 : 0;
           }
           if (rank != pass) {
@@ -446,7 +447,8 @@ uint64_t RepairManager::DrainFront(uint64_t now_ns, uint64_t budget) {
               fcursor = rc.completion_time_ns;
               break;  // Next replica.
             }
-            if (VerifyPageBytes(fabric_.node(n).store(), page_va, f.buf.data())) {
+            f.sum = PageChecksum(f.buf.data());
+            if (want == nullptr || f.sum == *want) {
               have = true;
               f.ready_ns = rc.completion_time_ns;
               f.bytes = 2ULL * kPageSize;  // Source read + target write.
@@ -484,6 +486,7 @@ uint64_t RepairManager::DrainFront(uint64_t now_ns, uint64_t budget) {
             have = true;
             f.ready_ns = fcursor;
             f.bytes = static_cast<uint64_t>(router_.ec().k + 1) * kPageSize;
+            f.sum = PageChecksum(f.buf.data());
             // A decode of fresh survivors yields the current content.
             f.gen = router_.PageGeneration(page_va);
           }
@@ -519,8 +522,8 @@ uint64_t RepairManager::DrainFront(uint64_t now_ns, uint64_t budget) {
     for (Flight& f : flights_) {
       Completion wc = WritePageChecked(qps_[static_cast<size_t>(job.target)],
                                        fabric_.node(job.target).store(), f.page_va,
-                                       f.buf.data(), f.ready_ns, &wr_id_, stats_, tracer_,
-                                       f.gen);
+                                       f.buf.data(), f.sum, f.ready_ns, &wr_id_, stats_,
+                                       tracer_, f.gen);
       if (wc.completion_time_ns > window_done) {
         window_done = wc.completion_time_ns;
       }

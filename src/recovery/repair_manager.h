@@ -113,6 +113,7 @@ class RepairManager {
     uint64_t ready_ns = 0;  // Source read (or EC decode) completion.
     uint64_t bytes = 0;     // Payload accounting for the budget/stats.
     uint32_t gen = 0;       // Write generation travelling with the bytes.
+    uint64_t sum = 0;       // PageChecksum(buf), installed by the target write.
     std::vector<uint8_t> buf;
   };
 

@@ -5,6 +5,7 @@
 
 #include <deque>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <unordered_map>
 
@@ -21,6 +22,12 @@ struct FuzzParam {
   uint64_t seed;
   bool guided;
 };
+
+// Names each case by its fields. Without this gtest prints the struct's raw
+// bytes, padding included, and the test names change from build to build.
+void PrintTo(const FuzzParam& p, std::ostream* os) {
+  *os << "seed" << p.seed << (p.guided ? "_guided" : "_plain");
+}
 
 class RedisFuzz : public ::testing::TestWithParam<FuzzParam> {
  protected:
