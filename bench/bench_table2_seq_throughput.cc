@@ -2,13 +2,13 @@
 // memory. Paper: Fastswap 0.98/0.49; DiLOS no-prefetch 1.24/1.14;
 // readahead 3.74/3.49; trend-based 3.73/3.49.
 //
-// Extended with the async fault pipeline (DESIGN.md §12): the no-prefetch
-// rows rerun with fault_pipeline.depth ∈ {1, 8}. This binary doubles as the
-// pipeline's CI gate (exit 1 on violation):
-//   1. depth 8 improves per-core demand-fault throughput ≥ 2× over blocking
+// The DiLOS rows run the default fault pipeline depth 1 (the blocking fault
+// path); the no-prefetch row reruns at fault_pipeline.depth 8. This binary
+// doubles as the pipeline's CI gate (exit 1 on violation):
+//   1. depth 8 improves per-core demand-fault throughput ≥ 2× over depth 1
 //      on the pure-fault row (no-prefetch sequential read);
-//   2. depth 1 reproduces blocking-mode major/minor fault counts exactly,
-//      for every prefetcher variant.
+//   2. depth 1 reproduces the major/minor fault counts recorded from the
+//      former blocking fault path exactly, for every prefetcher variant.
 #include <cstdio>
 #include <cstdlib>
 
@@ -48,12 +48,18 @@ RowResult Row(const char* name, FarRuntime& rt, const DilosConfig* cfg = nullptr
 DilosConfig ConfigFor(uint32_t pipeline_depth) {
   DilosConfig cfg;
   cfg.local_mem_bytes = kLocal;
-  if (pipeline_depth > 0) {
-    cfg.fault_pipeline.enabled = true;
-    cfg.fault_pipeline.depth = pipeline_depth;
-  }
+  cfg.fault_pipeline.depth = pipeline_depth;
   return cfg;
 }
+
+// Read and write {major, minor} fault counts of the three DiLOS rows
+// (no-prefetch, readahead, trend), recorded from the blocking fault path
+// the runtime had before depth 1 replaced it.
+struct FaultCounts {
+  uint64_t rd_major, rd_minor, wr_major, wr_minor;
+};
+constexpr FaultCounts kBlockingCounts[] = {
+    {16384, 0, 16384, 0}, {2050, 12284, 2048, 12288}, {1833, 7267, 6300, 1891}};
 
 int Run() {
   PrintHeader(
@@ -67,25 +73,14 @@ int Run() {
     Row("Fastswap", *rt);
   }
 
-  RowResult blocking[3];
   RowResult depth1[3];
   int i = 0;
   for (DilosVariant v :
        {DilosVariant::kNoPrefetch, DilosVariant::kReadahead, DilosVariant::kTrend}) {
     Fabric fabric;
-    DilosConfig cfg = ConfigFor(0);
-    auto rt = std::make_unique<DilosRuntime>(fabric, cfg, MakePrefetcher(v));
-    blocking[i++] = Row(VariantName(v), *rt, &cfg);
-  }
-  i = 0;
-  for (DilosVariant v :
-       {DilosVariant::kNoPrefetch, DilosVariant::kReadahead, DilosVariant::kTrend}) {
-    Fabric fabric;
     DilosConfig cfg = ConfigFor(1);
     auto rt = std::make_unique<DilosRuntime>(fabric, cfg, MakePrefetcher(v));
-    char name[64];
-    std::snprintf(name, sizeof(name), "%s [pipe d=1]", VariantName(v));
-    depth1[i++] = Row(name, *rt, &cfg);
+    depth1[i++] = Row(VariantName(v), *rt, &cfg);
   }
   RowResult piped;
   {
@@ -100,33 +95,34 @@ int Run() {
   // Gate 1: pipelining must beat blocking ≥ 2× on the demand-fault-bound
   // row. No-prefetch sequential read is all major faults, so read GB/s is a
   // direct proxy for per-core demand-fault throughput (faults/s × 4 KB).
-  double gain = piped.rd.GBps() / blocking[0].rd.GBps();
+  double gain = piped.rd.GBps() / depth1[0].rd.GBps();
   std::printf("pipeline gain (no-prefetch read, d=8 vs blocking): %.2fx\n", gain);
   int violations = 0;
   if (gain < 2.0) {
     std::fprintf(stderr, "GATE FAILED: pipeline d=8 gain %.2fx < 2x over blocking\n", gain);
     ++violations;
   }
-  // Gate 2: depth 1 is the blocking path expressed through the pipeline
-  // machinery — its fault counts must match blocking exactly, per variant.
+  // Gate 2: depth 1 is the blocking path — its fault counts must match the
+  // recorded blocking counts exactly, per variant.
   const char* names[] = {"no-prefetch", "readahead", "trend"};
   for (int v = 0; v < 3; ++v) {
-    if (depth1[v].rd.major_faults != blocking[v].rd.major_faults ||
-        depth1[v].rd.minor_faults != blocking[v].rd.minor_faults ||
-        depth1[v].wr.major_faults != blocking[v].wr.major_faults ||
-        depth1[v].wr.minor_faults != blocking[v].wr.minor_faults) {
+    const FaultCounts& want = kBlockingCounts[v];
+    if (depth1[v].rd.major_faults != want.rd_major ||
+        depth1[v].rd.minor_faults != want.rd_minor ||
+        depth1[v].wr.major_faults != want.wr_major ||
+        depth1[v].wr.minor_faults != want.wr_minor) {
       std::fprintf(stderr,
                    "GATE FAILED: depth-1 fault counts diverge from blocking (%s): "
                    "rd %llu/%llu vs %llu/%llu, wr %llu/%llu vs %llu/%llu\n",
                    names[v],
                    static_cast<unsigned long long>(depth1[v].rd.major_faults),
                    static_cast<unsigned long long>(depth1[v].rd.minor_faults),
-                   static_cast<unsigned long long>(blocking[v].rd.major_faults),
-                   static_cast<unsigned long long>(blocking[v].rd.minor_faults),
+                   static_cast<unsigned long long>(want.rd_major),
+                   static_cast<unsigned long long>(want.rd_minor),
                    static_cast<unsigned long long>(depth1[v].wr.major_faults),
                    static_cast<unsigned long long>(depth1[v].wr.minor_faults),
-                   static_cast<unsigned long long>(blocking[v].wr.major_faults),
-                   static_cast<unsigned long long>(blocking[v].wr.minor_faults));
+                   static_cast<unsigned long long>(want.wr_major),
+                   static_cast<unsigned long long>(want.wr_minor));
       ++violations;
     }
   }

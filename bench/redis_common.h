@@ -51,13 +51,13 @@ struct RedisEnv {
         break;
       case RedisSystem::kDilosNone:
       case RedisSystem::kDilosAppAware:
-        rt = MakeDilos(fabric, local_bytes, DilosVariant::kNoPrefetch, false, 1, 0, attribution);
+        rt = MakeDilos(fabric, local_bytes, DilosVariant::kNoPrefetch, false, 1, 1, attribution);
         break;
       case RedisSystem::kDilosReadahead:
-        rt = MakeDilos(fabric, local_bytes, DilosVariant::kReadahead, false, 1, 0, attribution);
+        rt = MakeDilos(fabric, local_bytes, DilosVariant::kReadahead, false, 1, 1, attribution);
         break;
       case RedisSystem::kDilosTrend:
-        rt = MakeDilos(fabric, local_bytes, DilosVariant::kTrend, false, 1, 0, attribution);
+        rt = MakeDilos(fabric, local_bytes, DilosVariant::kTrend, false, 1, 1, attribution);
         break;
     }
     redis = std::make_unique<RedisLite>(*rt, expected_keys);

@@ -129,13 +129,11 @@ DilosRuntime::DilosRuntime(Fabric& fabric, DilosConfig cfg,
       fabric_.set_scheduler(wire_sched_.get());
     }
   }
-  if (cfg_.fault_pipeline.enabled) {
-    pipelines_.reserve(static_cast<size_t>(cfg_.num_cores));
-    for (int c = 0; c < cfg_.num_cores; ++c) {
-      pipelines_.emplace_back(cfg_.fault_pipeline.depth);
-    }
-    harvest_scratch_.reserve(cfg_.fault_pipeline.depth);
+  pipelines_.reserve(static_cast<size_t>(cfg_.num_cores));
+  for (int c = 0; c < cfg_.num_cores; ++c) {
+    pipelines_.emplace_back(cfg_.fault_pipeline.depth);
   }
+  harvest_scratch_.reserve(pipelines_[0].depth());
   if (cfg_.recovery.enabled) {
     detector_ = std::make_unique<FailureDetector>(fabric_, router_, stats_, &tracer_,
                                                   cfg_.recovery.detector);
@@ -169,9 +167,8 @@ DilosRuntime::DilosRuntime(Fabric& fabric, DilosConfig cfg,
     flight_ = telemetry_->flight();
     attr_ = telemetry_->attribution();
     slo_ = telemetry_->slo();
-    if (attr_ != nullptr && cfg_.fault_pipeline.enabled) {
-      parked_slices_.resize(static_cast<size_t>(cfg_.num_cores) *
-                            static_cast<size_t>(cfg_.fault_pipeline.depth));
+    if (attr_ != nullptr) {
+      parked_slices_.resize(static_cast<size_t>(cfg_.num_cores) * pipelines_[0].depth());
     }
     if (metrics_registry_ != nullptr) {
       // QPs (created above, via the router/detector/repair ctors) hold a
@@ -292,8 +289,10 @@ Completion DilosRuntime::DemandFetch(uint64_t page_va, uint64_t frame_addr,
   int exclude = -1;        // Node whose stored copy proved corrupt.
   int last_mismatch = -1;  // Node whose last arrival failed verification.
   bool poisoned = false;   // The frame currently holds unverified bytes.
+  bool tried_rebuild_target = false;
   while (timeout_attempts <= max_retries && mismatch_attempts <= kMaxMismatchRetries) {
     ShardRouter::ReadTarget t = router_.PickRead(core, ch, page_va, exclude);
+    bool last_resort = false;  // This attempt reads the uncommitted rebuild target.
     if (t.reconstruct) {
       // EC steering: the single copy is unreadable, corrupt, or on a suspect
       // node — decode from survivors first; t.qp (a suspect copy, if any)
@@ -313,7 +312,23 @@ Completion DilosRuntime::DemandFetch(uint64_t page_va, uint64_t frame_addr,
       }
     }
     if (t.qp == nullptr) {
-      if (exclude >= 0) {
+      if (exclude < 0) {
+        break;  // No readable replica left at all.
+      }
+      int target = segs == nullptr && !tried_rebuild_target
+                       ? router_.RebuildTarget(ShardRouter::GranuleOf(page_va))
+                       : -1;
+      if (target >= 0) {
+        // Excluding the corrupt copy left only the granule's uncommitted
+        // rebuild target, which serves no reads yet but may already hold a
+        // current copy (the repair fill, or a write-back racing it). Read
+        // it once, as a last resort; its bytes are accepted only if the
+        // target stores a checksum for the page, they verify against it,
+        // and the copy's write generation is current.
+        tried_rebuild_target = true;
+        last_resort = true;
+        t = ShardRouter::ReadTarget{router_.NodeQp(core, ch, target), target, /*degraded=*/true};
+      } else {
         // Excluding the corrupt copy left nothing to read (its partners are
         // dead or partitioned). A copy whose arrivals mismatched may still
         // be flips on the wire, not rot in the store — un-exclude it and
@@ -323,7 +338,6 @@ Completion DilosRuntime::DemandFetch(uint64_t page_va, uint64_t frame_addr,
         last_mismatch = -1;
         continue;
       }
-      break;  // No readable replica left at all.
     }
     uint32_t attempt_span = tracer_.BeginSpan(SpanKind::kFetchAttempt, *cursor_ns, page_va,
                                               static_cast<uint32_t>(t.node));
@@ -374,13 +388,15 @@ Completion DilosRuntime::DemandFetch(uint64_t page_va, uint64_t frame_addr,
         last_mismatch = t.node;
         continue;
       }
-      if (segs == nullptr && exclude < 0 && sum == nullptr &&
-          ReplicaHasChecksumElsewhere(page_va, t.node)) {
+      if (segs == nullptr && sum == nullptr &&
+          (last_resort || (exclude < 0 && ReplicaHasChecksumElsewhere(page_va, t.node)))) {
         // Unverifiable arrival from a replica that should have been cleaned:
         // some other replica holds a checksum for this page, so a full
         // write-back happened — this copy missed it (dropped by a partition
         // or a transient fault). Its bytes are stale or zero; steer to a
-        // verifiable copy instead of trusting them.
+        // verifiable copy instead of trusting them. A last-resort rebuild
+        // target is trusted only with a checksum: its fill may not have
+        // reached this page yet.
         stats_.refetches++;
         ++mismatch_attempts;
         poisoned = true;
@@ -762,6 +778,11 @@ void DilosRuntime::HarvestFaultPipeline(int core, uint64_t now) {
     clk.Advance(cost_.cq_poll_ns);  // One coalesced poll covers the batch.
   }
   size_t installed = 0;
+  // The last installed fiber's slice is held back until the batch's TLB
+  // flush: that fiber pays the flush, so each flush is billed exactly once
+  // and a batch of one reproduces the blocking fault's map + flush.
+  ParkedSlice* last = nullptr;
+  uint64_t last_end_ns = 0;
   for (const FaultFiber& f : harvest_scratch_) {
     auto it = inflight_.find(f.page_va);
     if (it == inflight_.end()) {
@@ -778,16 +799,19 @@ void DilosRuntime::HarvestFaultPipeline(int core, uint64_t now) {
       // Finalize this fiber at its own install point: park covers everything
       // between the fetch completion and the map (other fibers' installs,
       // the coalesced poll, whatever the core overlapped), map is this
-      // fiber's own install. The batch-amortized TLB flush below lands
-      // outside every harvested fiber's end-to-end window by construction.
+      // fiber's own install.
       ParkedSlice* ps = FindParkedSlice(f.page_va);
       if (ps != nullptr) {
         ps->slice.Add(FaultPhase::kPark,
                       pre_map_ns > ps->done_ns ? pre_map_ns - ps->done_ns : 0);
         ps->slice.Add(FaultPhase::kMap, cost_.dilos_map_ns);
-        CommitFaultSlice(ps->slice, f.page_va, clk.now());
-        ps->used = false;
       }
+      if (last != nullptr) {
+        CommitFaultSlice(last->slice, last->page_va, last_end_ns);
+        last->used = false;
+      }
+      last = ps;
+      last_end_ns = clk.now();
     }
     stats_.fault_resumes++;
     stats_.fault_inflight--;
@@ -798,6 +822,11 @@ void DilosRuntime::HarvestFaultPipeline(int core, uint64_t now) {
     // pipeline amortizes over the whole harvest.
     clk.Advance(cost_.map_tlb_flush_ns);
     bd.Add(LatComp::kMap, cost_.map_tlb_flush_ns);
+    if (last != nullptr) {
+      last->slice.Add(FaultPhase::kMap, cost_.map_tlb_flush_ns);
+      CommitFaultSlice(last->slice, last->page_va, clk.now());
+      last->used = false;
+    }
     if (pipe.depth() > 1) {
       clk.Advance(cost_.fiber_resume_ns);
     }
@@ -980,8 +1009,8 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
       if (it != inflight_.end() && it->second.demand && RetireParked(page_va)) {
         // Touch of a page whose own demand fault is still parked in a
         // pipeline: resume that fiber directly instead of counting a new
-        // minor fault — in blocking mode this second touch would have been
-        // a plain local hit, because the first fault resolved in-handler.
+        // minor fault — at depth 1 this second touch would have been a
+        // plain local hit, because the first fault resolved in-handler.
         stats_.fault_resumes++;
         stats_.fault_inflight--;
         uint32_t resume_span =
@@ -1145,8 +1174,8 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
     }
 
     case PteTag::kRemote: {
-      // Major fault: mark fetching, post the read, then hide every other
-      // piece of work inside the fetch window.
+      // Major fault: post the read, park a fiber on it, then hide every
+      // other piece of work inside the fetch window.
       stats_.major_faults++;
       if (tier_ != nullptr) {
         stats_.tier_misses++;  // Cold miss the tier no longer holds (or never did).
@@ -1168,86 +1197,49 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
           DemandFetch(page_va, pool_.Addr(frame), nullptr, core, CommChannel::kFault, &cursor);
       stats_.bytes_fetched += kPageSize;
 
-      if (!pipelines_.empty()) {
-        // Pipelined mode: the read is posted and its whole resolution
-        // timeline (retries, backoff, EC decode, failover — DemandFetch
-        // advanced `cursor` past all of it) is known; instead of blocking
-        // the core until then, park a fiber carrying the completion time
-        // and give the core back to the workload. The data already sits in
-        // the frame (the sim moves bytes synchronously; only time is
-        // simulated), so the faulting access can complete — the page just
-        // stays kFetching until a harvest commits its PTE.
-        uint64_t done = cursor + (cfg_.tcp_emulation ? cost_.tcp_delay_ns : 0);
-        AttrAdd(core, FaultPhase::kWire, done - cursor);
-        if (c.status != WcStatus::kSuccess) {
-          std::memset(pool_.Data(frame), 0, kPageSize);  // Unrecoverable: zero page.
-        }
-        *pt_.Entry(page_va, true) = MakeFetchingPte(frame);
-        inflight_[page_va] = Inflight{frame, done, write, true};
-        FaultPipeline& pipe = pipelines_[static_cast<size_t>(core)];
-        if (pipe.Full()) {
-          // Defensive: the end-of-handler stall below keeps the pipeline
-          // under depth between faults, so admission normally never waits.
-          stats_.fault_pipeline_stalls++;
-          uint64_t stall_ns = clk.AdvanceTo(pipe.OldestDoneNs());
-          bd.Add(LatComp::kFetch, stall_ns);
-          // Off-path: the stall is concurrent with the oldest fiber's own
-          // wire wait — counting it on-path would double-bill that time.
-          AttrAdd(core, FaultPhase::kStall, stall_ns);
-          HarvestFaultPipeline(core, clk.now());
-        }
-        pipe.Admit(page_va, frame, clk.now(), done, write);
-        ParkFaultSlice(core, page_va, done);
-        stats_.fault_parks++;
-        stats_.fault_inflight++;
-        if (stats_.fault_inflight > stats_.fault_inflight_peak) {
-          stats_.fault_inflight_peak = stats_.fault_inflight;
-        }
-        uint32_t park_span = tracer_.BeginSpan(SpanKind::kFaultPark, clk.now(), page_va,
-                                               static_cast<uint32_t>(pipe.size()));
-        if (pipe.depth() > 1) {
-          // Fiber switch costs exist only when there is another fiber to
-          // switch to; at depth 1 the path must cost exactly what blocking
-          // does, or timing shifts would perturb prefetch-arrival races
-          // and break the depth-1 fault-count equivalence.
-          clk.Advance(cost_.fiber_park_ns);
-        }
-        tracer_.EndSpan(park_span, clk.now());
-
-        // The same work the blocking path hides in the fetch window.
-        if (guide_ != nullptr) {
-          RuntimeGuideContext ctx(*this, core, clk.now());
-          guide_->OnFault(ctx, vaddr, write);
-        }
-        tracker_.Scan(pt_);
-        clk.Advance(cost_.dilos_hit_tracker_ns);
-        bd.Add(LatComp::kPrefetch, cost_.dilos_hit_tracker_ns);
-        FaultInfo info{vaddr, write, /*major=*/true, tracker_.hit_ratio()};
-        RunPrefetcher(info, core);
-        Background(clk.now(), page_va);
-
-        if (pipe.Full()) {
-          // Depth limit: stall the core until the oldest completion so the
-          // next fault finds an admission slot. At depth 1 this resolves
-          // the fault in-handler — exactly the blocking timeline.
-          stats_.fault_pipeline_stalls++;
-          uint64_t stall_ns = clk.AdvanceTo(pipe.OldestDoneNs());
-          bd.Add(LatComp::kFetch, stall_ns);
-          AttrAdd(core, FaultPhase::kStall, stall_ns);  // Off-path, as above.
-        }
-        HarvestFaultPipeline(core, clk.now());
-        DrainArrivals(clk.now());
-        EndFault(core, clk.now());
-        if (PteTagOf(*pt_.Entry(page_va, true)) == PteTag::kLocal) {
-          break;  // Harvested in-handler; the common exit sets the A/D bits.
-        }
-        // Still parked: hand the frame to the faulting access directly. The
-        // PTE stays kFetching until a later harvest installs it.
-        return pool_.Data(frame) + (vaddr & (kPageSize - 1));
+      // The read is posted and its whole resolution timeline (retries,
+      // backoff, EC decode, failover — DemandFetch advanced `cursor` past
+      // all of it) is known. Park a fiber carrying the completion time. The
+      // data already sits in the frame (the sim moves bytes synchronously;
+      // only time is simulated), so the faulting access can complete — the
+      // page just stays kFetching until a harvest commits its PTE.
+      uint64_t done = cursor + (cfg_.tcp_emulation ? cost_.tcp_delay_ns : 0);
+      AttrAdd(core, FaultPhase::kWire, done - cursor);
+      if (c.status != WcStatus::kSuccess) {
+        // Every replica is gone: the content is unrecoverable. Surface a
+        // zero page (failed_fetches records the loss) rather than whatever
+        // the recycled frame last held.
+        std::memset(pool_.Data(frame), 0, kPageSize);
       }
-
-      *pt_.Entry(page_va, true) = MakeFetchingPte(frame);
-      inflight_[page_va] = Inflight{frame, cursor, write, true};
+      *e = MakeFetchingPte(frame);
+      inflight_[page_va] = Inflight{frame, done, write, true};
+      FaultPipeline& pipe = pipelines_[static_cast<size_t>(core)];
+      if (pipe.Full()) {
+        // Defensive: the end-of-handler stall below keeps the pipeline
+        // under depth between faults, so admission normally never waits.
+        stats_.fault_pipeline_stalls++;
+        uint64_t stall_ns = clk.AdvanceTo(pipe.OldestDoneNs());
+        bd.Add(LatComp::kFetch, stall_ns);
+        // Off-path: the stall is concurrent with the oldest fiber's own
+        // wire wait — counting it on-path would double-bill that time.
+        AttrAdd(core, FaultPhase::kStall, stall_ns);
+        HarvestFaultPipeline(core, clk.now());
+      }
+      pipe.Admit(page_va, frame, clk.now(), done, write);
+      ParkFaultSlice(core, page_va, done);
+      stats_.fault_parks++;
+      stats_.fault_inflight++;
+      if (stats_.fault_inflight > stats_.fault_inflight_peak) {
+        stats_.fault_inflight_peak = stats_.fault_inflight;
+      }
+      uint32_t park_span = tracer_.BeginSpan(SpanKind::kFaultPark, clk.now(), page_va,
+                                             static_cast<uint32_t>(pipe.size()));
+      if (pipe.depth() > 1) {
+        // Fiber switch costs exist only when there is another fiber to
+        // switch to; depth 1 is the blocking fault path and costs no switch.
+        clk.Advance(cost_.fiber_park_ns);
+      }
+      tracer_.EndSpan(park_span, clk.now());
 
       // Work hidden in the fetch window: guide, hit tracker, prefetcher,
       // background manager.
@@ -1262,29 +1254,24 @@ uint8_t* DilosRuntime::HandleFault(uint64_t vaddr, uint32_t len, bool write, int
       RunPrefetcher(info, core);
       Background(clk.now(), page_va);
 
-      uint64_t done = cursor + (cfg_.tcp_emulation ? cost_.tcp_delay_ns : 0);
-      AttrAdd(core, FaultPhase::kWire, done - cursor);
-      uint64_t pre_fetch_ns = clk.now();
-      bd.Add(LatComp::kFetch, clk.AdvanceTo(done));
-      // Hidden work that outran the fetch window surfaces as kOverlap; when
-      // the window fully hides it the phase is zero and the fetch phases
-      // alone tile the wall time.
-      AttrAdd(core, FaultPhase::kOverlap,
-              pre_fetch_ns > done ? pre_fetch_ns - done : 0);
-      inflight_.erase(page_va);
-      if (c.status != WcStatus::kSuccess) {
-        // Every replica is gone: the content is unrecoverable. Surface a
-        // zero page (failed_fetches records the loss) rather than whatever
-        // the recycled frame last held.
-        std::memset(pool_.Data(frame), 0, kPageSize);
+      if (pipe.Full()) {
+        // Depth limit: stall the core until the oldest completion so the
+        // next fault finds an admission slot. At depth 1 this is the
+        // fault's own fetch wait: the fault resolves in-handler.
+        stats_.fault_pipeline_stalls++;
+        uint64_t stall_ns = clk.AdvanceTo(pipe.OldestDoneNs());
+        bd.Add(LatComp::kFetch, stall_ns);
+        AttrAdd(core, FaultPhase::kStall, stall_ns);  // Off-path, as above.
       }
-      MapInflight(page_va, Inflight{frame, done, write, true}, write);
-      clk.Advance(cost_.dilos_map_ns + cost_.map_tlb_flush_ns);
-      bd.Add(LatComp::kMap, cost_.dilos_map_ns + cost_.map_tlb_flush_ns);
-      AttrAdd(core, FaultPhase::kMap, cost_.dilos_map_ns + cost_.map_tlb_flush_ns);
+      HarvestFaultPipeline(core, clk.now());
       DrainArrivals(clk.now());
       EndFault(core, clk.now());
-      break;
+      if (PteTagOf(*e) == PteTag::kLocal) {
+        break;  // Harvested in-handler; the common exit sets the A/D bits.
+      }
+      // Still parked: hand the frame to the faulting access directly. The
+      // PTE stays kFetching until a later harvest installs it.
+      return pool_.Data(frame) + (vaddr & (kPageSize - 1));
     }
   }
 

@@ -54,11 +54,12 @@ struct DilosConfig {
   // an in-DRAM pool instead of written remotely; a refault decompresses
   // locally instead of paying the RDMA round trip.
   TierConfig tier;
-  // Async fault pipeline (src/sim/fiber.h, DESIGN.md §12): a demand fault
-  // posts its read, parks a fiber, and returns the core to the workload;
-  // completions are harvested by coalesced CQ polls and committed as batched
-  // PTE installs. depth bounds outstanding demand faults per core; depth 1
-  // reproduces blocking-mode fault counts exactly (the CI gate).
+  // Async fault pipeline (src/sim/fiber.h, DESIGN.md §12), the one
+  // demand-fault path: a demand fault posts its read, parks a fiber, and
+  // returns the core to the workload; completions are harvested by
+  // coalesced CQ polls and committed as batched PTE installs. depth bounds
+  // outstanding demand faults per core; depth 1 (the default) is the
+  // blocking fault path, resolving each fault inside its own handler.
   FaultPipelineConfig fault_pipeline;
   PageManagerConfig pm;
   // Do not start new prefetches when free frames would drop below this
@@ -104,7 +105,7 @@ class DilosRuntime : public FarRuntime {
   uint8_t* Pin(uint64_t vaddr, uint32_t len, bool write, int core) override;
   // Retires every parked demand fault: advances each core's clock to its
   // oldest outstanding completion and harvests until the pipelines drain.
-  // No-op in blocking mode.
+  // No-op at depth 1, where every fault resolves inside its handler.
   void Quiesce() override;
   using FarRuntime::clock;
   Clock& clock(int core) override { return clocks_[static_cast<size_t>(core)]; }
@@ -137,10 +138,8 @@ class DilosRuntime : public FarRuntime {
   }
   // Compressed tier (null unless cfg.tier.enabled).
   CompressedTier* tier() { return tier_.get(); }
-  // Per-core fault pipeline (null unless cfg.fault_pipeline.enabled).
-  FaultPipeline* pipeline(int core) {
-    return pipelines_.empty() ? nullptr : &pipelines_[static_cast<size_t>(core)];
-  }
+  // Per-core fault pipeline (never null).
+  FaultPipeline* pipeline(int core) { return &pipelines_[static_cast<size_t>(core)]; }
   // -- Multi-tenant policy layer (null members unless cfg.tenants.enabled) ---
   // Registers a tenant; returns its id, or -1 (registry full / tenancy off).
   // With the SLO engine on, the spec's latency objective is installed for
@@ -260,7 +259,7 @@ class DilosRuntime : public FarRuntime {
     uint32_t depth = 0;
     uint32_t span = 0;
     uint64_t page_va = 0;
-    bool moved = false;  // Slice handed to a parked-fiber slot (pipelined path).
+    bool moved = false;  // Slice handed to a parked-fiber slot (remote major fault).
     FaultSlice slice;
   };
   // A parked fiber's slice between HandleFault returning and the harvest
@@ -288,7 +287,7 @@ class DilosRuntime : public FarRuntime {
   void CommitFaultSlice(const FaultSlice& slice, uint64_t page_va, uint64_t end_ns);
   ParkedSlice* FindParkedSlice(uint64_t page_va);
   // Moves the core's active slice into a free parked slot at fetch
-  // completion time `done_ns` (pipelined park). No-op when attribution is off.
+  // completion time `done_ns` (fiber park). No-op when attribution is off.
   void ParkFaultSlice(int core, uint64_t page_va, uint64_t done_ns);
   // Drops a parked slice without committing (region teardown).
   void DropParkedSlice(uint64_t page_va);
@@ -365,13 +364,13 @@ class DilosRuntime : public FarRuntime {
   SloEngine* slo_ = nullptr;
   // Per-core fault scopes (always sized num_cores — the span fix needs them
   // even with attribution off) and the parked-slice pool (sized cores x
-  // pipeline depth when both the pipeline and attribution are on).
+  // pipeline depth when attribution is on).
   std::vector<FaultScope> fault_scope_;
   std::vector<ParkedSlice> parked_slices_;
   std::vector<int> replica_scratch_;  // ReplicaHasChecksumElsewhere scratch.
 
   std::unordered_map<uint64_t, Inflight> inflight_;  // Key: page vaddr.
-  // One pipeline per core when cfg.fault_pipeline.enabled; empty otherwise.
+  // One pipeline per core.
   std::vector<FaultPipeline> pipelines_;
   std::vector<FaultFiber> harvest_scratch_;  // HarvestFaultPipeline batch buffer.
   uint64_t next_region_ = kFarBase;

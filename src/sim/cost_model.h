@@ -73,7 +73,7 @@ struct CostModel {
   // saves registers and yields in a few hundred ns, and resuming it costs
   // about the same. Coalesced CQ polling amortizes one poll over a whole
   // batch of completions. Charged only with fault_pipeline.depth > 1 —
-  // depth == 1 degenerates to the blocking path and must cost identically.
+  // depth == 1 is the blocking fault path and has no fiber to switch to.
   uint64_t fiber_park_ns = 150;    // Save continuation + switch to next fiber.
   uint64_t fiber_resume_ns = 100;  // Reschedule a ready fiber after harvest.
   uint64_t cq_poll_ns = 120;       // One coalesced completion-queue poll.

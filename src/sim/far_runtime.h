@@ -41,12 +41,11 @@ class FarRuntime {
   // call that may evict (treat it as immediately consumed).
   virtual uint8_t* Pin(uint64_t vaddr, uint32_t len, bool write, int core) = 0;
 
-  // Waits until no fault is left in flight: with the async fault pipeline
-  // enabled, parked demand faults may still be awaiting their batched PTE
+  // Waits until no fault is left in flight: with a fault pipeline deeper
+  // than 1, parked demand faults may still be awaiting their batched PTE
   // install when a measurement phase ends; Quiesce advances each core's
   // clock to the last completion and commits the remaining installs.
-  // Blocking runtimes resolve every fault inside Pin, so the default is a
-  // no-op.
+  // Runtimes that resolve every fault inside Pin keep the default no-op.
   virtual void Quiesce() {}
 
   virtual Clock& clock(int core) = 0;

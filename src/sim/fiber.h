@@ -25,14 +25,16 @@
 
 namespace dilos {
 
-// DilosConfig::fault_pipeline. Off by default: the demand-fault path blocks
-// its core until the RDMA read completes, exactly as before this subsystem
-// existed. depth == 1 admits one outstanding fault per core — blocking
-// semantics expressed through the pipeline machinery, and the equivalence
-// the CI gate in bench_table2_seq_throughput asserts.
+// DilosConfig::fault_pipeline. Every remote major fault runs through the
+// pipeline; depth alone picks its behaviour. The default depth 1 admits one
+// outstanding fault per core, so each fault resolves inside its own handler:
+// the blocking demand-fault path, with no fiber-switch or poll cost.
 struct FaultPipelineConfig {
+  // Inert: nothing in the runtime reads it. The repository benchmark's
+  // tenants-scan driver (perfbench/) still writes it, so it goes with the
+  // next change to the benchmark.
   bool enabled = false;
-  uint32_t depth = 8;  // Max outstanding demand faults per core (>= 1).
+  uint32_t depth = 1;  // Max outstanding demand faults per core (>= 1).
 };
 
 // Lifecycle of one parked fault continuation. The sim resolves the whole

@@ -14,7 +14,7 @@
 // sum(on-path phases) must equal the measured end-to-end latency within 1%
 // (it is exact by construction in the simulator; the 1% gate catches any
 // future stamping drift). `sum_violations()` counts faults that broke the
-// gate and CI asserts it stays zero across the blocking, pipelined,
+// gate and CI asserts it stays zero across the depth-1, pipelined,
 // EC-degraded, tier-hit, and retry-storm paths (tests/test_attribution.cc).
 //
 // Two phases are deliberately *off-path* and excluded from the tiling sum:
@@ -22,7 +22,8 @@
 //     never advances it — the repair overlaps the remainder of the fault.
 //   - kStall: a pipeline depth-limit stall waits on the *oldest* parked
 //     fiber, whose own wire phases already cover that wall-clock interval;
-//     charging it on-path would double-count the wire.
+//     charging it on-path would double-count the wire. At depth 1 that
+//     fiber is the stalling fault itself.
 // Both are still recorded (they answer "how much healing / stalling is this
 // tenant seeing"), just not summed against end-to-end latency.
 #ifndef DILOS_SRC_TELEMETRY_ATTRIBUTION_H_
@@ -49,10 +50,11 @@ enum class FaultPhase : uint8_t {
   kBackoff,      // Demand-retry backoff after a timed-out fetch attempt.
   kEcDecode,     // Degraded read: k-survivor reads + Cauchy matrix solve.
   kDecompress,   // Compressed-tier hit: blob decode into the frame.
-  kOverlap,      // Blocking path only: prefetch-issue / guide / tracker work that
-                 // spilled past fetch completion (work the fetch could not hide).
-  kPark,         // Pipelined path: fiber parked awaiting completion + harvest queue.
-  kMap,          // PTE install + TLB shootdown (+ fiber resume on the pipeline).
+  kOverlap,      // Action-PTE fetch only: core time already past fetch completion
+                 // when the handler starts waiting.
+  kPark,         // Remote major fault: fetch completion to install — hidden work that
+                 // outlasted the fetch, other fibers' installs, the coalesced poll.
+  kMap,          // PTE install; the batch's TLB shootdown goes to its last install.
   kStall,        // OFF-PATH: depth-limit stall waiting on the oldest parked fiber.
   kHeal,         // OFF-PATH: checksum heal-in-place posted without advancing the fault.
   kCount,

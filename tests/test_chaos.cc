@@ -224,6 +224,79 @@ TEST(ChaosIntegrity, StorageRotIsHealedFromTheGoodReplica) {
       << "the stored copy must have been rewritten, not just re-read around";
 }
 
+// Builds the replica set {rotted live copy, verified uncommitted rebuild
+// target} for an evicted page: replication 2, both copies checksummed, then
+// the secondary becomes the granule's rebuild target (reads skip it until
+// the rebuild commits) and the primary's stored copy rots. Returns the page,
+// or 0 when no evicted checksummed page exists; *replicas gets its set.
+uint64_t RotLiveCopyBesideRebuildTarget(DilosRuntime& rt, Fabric& fabric, uint64_t region,
+                                        uint64_t pages, std::vector<int>* replicas) {
+  for (uint64_t p = 0; p < pages; ++p) {
+    uint64_t va = region + p * kPageSize;
+    if (PteTagOf(rt.page_table().Get(va)) == PteTag::kLocal) {
+      continue;
+    }
+    rt.router().ReplicaNodes(va, replicas);
+    if (replicas->size() == 2 &&
+        fabric.node((*replicas)[0]).store().HasChecksum(va >> kPageShift) &&
+        fabric.node((*replicas)[1]).store().HasChecksum(va >> kPageShift)) {
+      rt.router().BeginRebuild(ShardRouter::GranuleOf(va), *replicas, (*replicas)[1]);
+      fabric.node((*replicas)[0]).store().PageData(va >> kPageShift)[3] ^= 0x10;
+      return va;
+    }
+  }
+  return 0;
+}
+
+TEST(ChaosIntegrity, VerifiedRebuildTargetServesWhenTheLiveCopyRotted) {
+  Fabric fabric(CostModel::Default(), 2);
+  DilosRuntime rt(fabric, ChaosConfig(2), std::make_unique<NullPrefetcher>());
+  const uint64_t pages = 256;
+  uint64_t region = rt.AllocRegion(pages * kPageSize);
+  Populate(rt, region, pages);
+  ASSERT_EQ(VerifySweep(rt, region, pages), 0u);
+  std::vector<int> replicas;
+  uint64_t victim_va = RotLiveCopyBesideRebuildTarget(rt, fabric, region, pages, &replicas);
+  ASSERT_NE(victim_va, 0u) << "no evicted checksummed page found";
+  uint64_t expect = ((victim_va - region) / kPageSize) ^ 0xD15C0;
+
+  // Excluding the rotted copy leaves no readable replica; the rebuild
+  // target's copy verifies and is current, so it serves the fault and the
+  // rotted copy is rewritten from it.
+  EXPECT_EQ(rt.Read<uint64_t>(victim_va), expect);
+  EXPECT_EQ(rt.stats().failed_fetches, 0u) << "the verified rebuild copy was refused";
+  EXPECT_GE(rt.stats().checksum_heals, 1u);
+  PageStore& primary = fabric.node(replicas[0]).store();
+  EXPECT_EQ(PageChecksum(primary.PageData(victim_va >> kPageShift)),
+            primary.Checksum(victim_va >> kPageShift));
+}
+
+TEST(ChaosIntegrity, StaleRebuildTargetIsNeverSurfaced) {
+  Fabric fabric(CostModel::Default(), 2);
+  DilosRuntime rt(fabric, ChaosConfig(2), std::make_unique<NullPrefetcher>());
+  const uint64_t pages = 256;
+  uint64_t region = rt.AllocRegion(pages * kPageSize);
+  Populate(rt, region, pages);
+  ASSERT_EQ(VerifySweep(rt, region, pages), 0u);
+  std::vector<int> replicas;
+  uint64_t victim_va = RotLiveCopyBesideRebuildTarget(rt, fabric, region, pages, &replicas);
+  ASSERT_NE(victim_va, 0u) << "no evicted checksummed page found";
+
+  // The target's copy verifies against its own checksum but lags the
+  // expected write generation: the last-resort read must refuse it, and
+  // with the only live copy rotted the fetch fails to a zero page.
+  uint64_t page = victim_va >> kPageShift;
+  PageStore& target = fabric.node(replicas[1]).store();
+  uint32_t gen = rt.router().PageGeneration(victim_va);
+  ASSERT_GT(gen, 0u);
+  target.PageData(page)[0] ^= 0x5A;
+  target.SetChecksum(page, PageChecksum(target.PageData(page)));
+  target.SetGeneration(page, gen - 1);
+  EXPECT_EQ(rt.Read<uint64_t>(victim_va), 0u);
+  EXPECT_EQ(rt.stats().failed_fetches, 1u);
+  EXPECT_GE(rt.stats().stale_copies_detected, 1u);
+}
+
 TEST(ChaosIntegrity, ScrubberRepairsLatentRotWithoutADemandRead) {
   Fabric fabric(CostModel::Default(), 2);
   DilosConfig cfg = ChaosConfig(2);

@@ -9,7 +9,7 @@
 // order in which dirty pages are cleaned, admitted or drained moves a hash.
 //
 // Together the scenarios turn local PTEs dirty through the Pin fast path,
-// zero-fill, major faults (blocking and pipelined), action-PTE fetches, tier
+// zero-fill, major faults (pipeline depth 1 and 4), action-PTE fetches, tier
 // hits of dirty entries and quota reclaim's re-dirty — plus a total
 // partition, under which dirty victims fail their write-back and are
 // requeued.
@@ -135,7 +135,6 @@ TEST(CleanerOrder, PipelinedFaults) {
   Fabric fabric;
   DilosConfig cfg;
   cfg.local_mem_bytes = 80 * kPageSize;
-  cfg.fault_pipeline.enabled = true;
   cfg.fault_pipeline.depth = 4;
   DilosRuntime rt(fabric, cfg, std::make_unique<ReadaheadPrefetcher>());
   VictimHash sink;

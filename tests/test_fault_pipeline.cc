@@ -3,10 +3,10 @@
 //
 //  - FaultPipeline scheduler core: deterministic park/harvest ordering,
 //    depth-limit backpressure, completion coalescing, external retire.
-//  - Runtime integration: depth 1 reproduces the blocking fault path
-//    bit-exactly (counts and clock) for every prefetcher variant; deeper
-//    pipelines overlap faults, batch installs, resume direct touches of
-//    parked pages, quiesce cleanly, and survive region teardown.
+//  - Runtime integration: depth 1 reproduces the counts and clock recorded
+//    from the former blocking fault path, for every prefetcher variant;
+//    deeper pipelines overlap faults, batch installs, resume direct touches
+//    of parked pages, quiesce cleanly, and survive region teardown.
 //  - Telemetry: fault-park / fault-resume spans nest under the demand-fault
 //    span; the counter-invariant checker catches impossible pipeline counts.
 //  - Chaos: the 32-seed mixed-fault soak of test_chaos.cc rerun with the
@@ -126,10 +126,7 @@ TEST(FaultPipelineCore, RetireRemovesByPageAndFreesASlot) {
 DilosConfig PipeConfig(uint32_t depth, uint64_t local_bytes = 64 * kPageSize) {
   DilosConfig cfg;
   cfg.local_mem_bytes = local_bytes;
-  if (depth > 0) {
-    cfg.fault_pipeline.enabled = true;
-    cfg.fault_pipeline.depth = depth;
-  }
+  cfg.fault_pipeline.depth = depth;
   return cfg;
 }
 
@@ -169,15 +166,20 @@ TEST(FaultPipelineRuntime, DepthOneIsBitIdenticalToBlockingForEveryVariant) {
   // The strongest form of the depth-1 gate: not just equal fault counts but
   // an identical simulated timeline, for all three prefetcher variants —
   // fiber-switch costs are only charged at depth > 1, so any divergence
-  // here is a path that forgot the rule.
-  auto variants = {0, 1, 2};
-  for (int v : variants) {
+  // here is a path that forgot the rule. The expected values were recorded
+  // from the blocking fault path the runtime had before depth 1 replaced
+  // it: {major, minor, zero, elapsed, end_ns} per variant (none, readahead,
+  // trend).
+  const SweepOutcome kBlocking[] = {{256, 0, 0, 809984, 1060864},
+                                    {34, 188, 0, 254284, 505164},
+                                    {43, 98, 0, 242856, 493736}};
+  for (int v : {0, 1, 2}) {
     auto make = [v]() -> std::unique_ptr<Prefetcher> {
       if (v == 0) return std::make_unique<NullPrefetcher>();
       if (v == 1) return std::make_unique<ReadaheadPrefetcher>();
       return std::make_unique<TrendPrefetcher>();
     };
-    SweepOutcome blocking = RunSweep(0, make);
+    const SweepOutcome& blocking = kBlocking[v];
     SweepOutcome d1 = RunSweep(1, make);
     EXPECT_EQ(blocking.major, d1.major) << "variant " << v;
     EXPECT_EQ(blocking.minor, d1.minor) << "variant " << v;
@@ -225,8 +227,8 @@ TEST(FaultPipelineRuntime, OverlapBeatsBlockingAndAccountsEveryFiber) {
     EXPECT_EQ(rt.pipeline(c)->size(), 0u);
   }
 
-  auto blocking = RunSweep(0, [] { return std::make_unique<NullPrefetcher>(); }, pages);
-  EXPECT_LT(piped_elapsed, blocking.elapsed) << "overlap must shorten the demand sweep";
+  auto d1 = RunSweep(1, [] { return std::make_unique<NullPrefetcher>(); }, pages);
+  EXPECT_LT(piped_elapsed, d1.elapsed) << "overlap must shorten the demand sweep";
 }
 
 TEST(FaultPipelineRuntime, DepthLimitBackpressureStallsAndNeverExceedsDepth) {
@@ -272,8 +274,8 @@ TEST(FaultPipelineRuntime, TouchingAParkedPageResumesItWithoutAMinorFault) {
   uint64_t resumes0 = st.fault_resumes;
 
   // ...so an immediate second touch finds the parked fiber and resumes it
-  // directly. In blocking mode this touch would have been a plain local hit;
-  // counting it a minor fault would skew cross-mode comparisons.
+  // directly. At depth 1 this touch would have been a plain local hit;
+  // counting it a minor fault would skew cross-depth comparisons.
   EXPECT_EQ(rt.Read<uint64_t>(region), 0u ^ 0x77);
   EXPECT_EQ(st.minor_faults, minor0) << "a parked-page touch is a resume, not a minor fault";
   EXPECT_EQ(st.fault_resumes, resumes0 + 1);
@@ -413,8 +415,9 @@ uint64_t SeedBase() {
 // windows, continuous wire flips, scoped storage rot) with the fault
 // pipeline at depth 8: every demand fault in the load loop overlaps with
 // its neighbors, and the retry/EC/heal machinery runs inside parked-fiber
-// timelines. Asserts the same bar as blocking mode — no wrong read, no lost
-// acked write, no abandoned fetch — plus the pipeline's own: no stuck fault.
+// timelines. Asserts the same bar as the depth-1 soak — no wrong read, no
+// lost acked write, no abandoned fetch — plus the pipeline's own: no stuck
+// fault.
 void PipelineChaosSoak(uint64_t seed, bool ec) {
   Fabric fabric(CostModel::Default(), ec ? 5 : 3);
   FaultPlan plan;
@@ -432,7 +435,6 @@ void PipelineChaosSoak(uint64_t seed, bool ec) {
   cfg.recovery.enabled = true;
   cfg.fault_seed = seed;
   cfg.pm.scrub_pages_per_tick = 64;
-  cfg.fault_pipeline.enabled = true;
   cfg.fault_pipeline.depth = 8;
   if (ec) {
     cfg.ec.enabled = true;
